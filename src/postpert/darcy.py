@@ -11,6 +11,13 @@ order terms: with perturbation direction xi,
     a(w1, v) = -int exp(b) xi grad u  . grad v
     a(w2, v) = -int exp(b) (2 xi grad w1 + xi^2 grad u) . grad v
 
+Forward, derivative and per-sample solves share one operator: the banded
+Cholesky factor of the Dirichlet-eliminated stiffness matrix
+(BandedStiffness).  It is assembled with one bincount over the band, factored
+once per log-coefficient field, and applied to all right-hand sides of one
+derivative order together; those right-hand sides are themselves scattered
+with one bincount for all modes.
+
 Observations are the solution values at five interior points; the noise
 covariance is fixed.  Priors come from a truncated KLE of a Gaussian kernel,
 with one coefficient law per retained mode.
@@ -22,12 +29,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solveh_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .errors import DimensionMismatch, NotSpd, SolverFailure
+from .errors import DimensionMismatch, SolverFailure
 from .fem import (
     TriangularMesh,
-    assemble_weighted_stiffness,
     build_unit_square_mesh,
     interpolate_nodal,
     load_vector,
@@ -64,7 +70,9 @@ def _nodal(values) -> np.ndarray:
 
 
 def _triangle_means(mesh: TriangularMesh, nodal: np.ndarray) -> np.ndarray:
-    return nodal[mesh.triangles].mean(axis=1)
+    """Centroid values of nodal fields, (N,) -> (T,) or (M, N) -> (M, T)."""
+    # sum / 3 is what mean computes, without its per-call overhead
+    return nodal[..., mesh.triangles].sum(axis=-1) / 3.0
 
 
 def _conductivity(mesh: TriangularMesh, b) -> np.ndarray:
@@ -76,66 +84,23 @@ def _conductivity(mesh: TriangularMesh, b) -> np.ndarray:
     return coef
 
 
-def assemble_stiffness(mesh: TriangularMesh, b) -> SpdMatrix:
-    """Interior stiffness matrix for the coefficient exp(b)."""
-    a = assemble_weighted_stiffness(mesh, _conductivity(mesh, b))
-    idx = mesh.interior
-    return SpdMatrix(a[np.ix_(idx, idx)])
-
-
-def _gradient_rhs(mesh: TriangularMesh, tri_scale: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Assemble -sum_T s_T (G_T u_T) into a full nodal vector."""
-    local = local_stiffness(mesh)
-    contrib = tri_scale[:, None] * np.einsum("tij,tj->ti", local, u[mesh.triangles])
-    rhs = np.zeros(mesh.n_nodes)
-    np.add.at(rhs, mesh.triangles.ravel(), -contrib.ravel())
-    return rhs
-
-
-class _FactoredOperator:
-    """One Dirichlet-eliminated factorization reused for many right-hand sides."""
-
-    def __init__(self, mesh: TriangularMesh, b):
-        self.mesh = mesh
-        self.b = _nodal(b)
-        self.coef = _conductivity(mesh, self.b)
-        idx = mesh.interior
-        a = assemble_weighted_stiffness(mesh, self.coef)[np.ix_(idx, idx)]
-        try:
-            self._cho = cho_factor(a, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NotSpd(f"stiffness factorization failed: {exc}") from exc
-
-    def solve_full(self, rhs_full) -> np.ndarray:
-        """Solve with zero boundary values and embed back to all vertices."""
-        rhs_full = np.asarray(rhs_full, dtype=float)
-        out = np.zeros((self.mesh.n_nodes,) + rhs_full.shape[1:])
-        idx = self.mesh.interior
-        out[idx] = cho_solve(self._cho, rhs_full[idx])
-        return out
-
-
 def solve_forward(mesh: TriangularMesh, b) -> FemField:
     """Pressure field for unit source and homogeneous Dirichlet data."""
-    op = _FactoredOperator(mesh, b)
-    return FemField(mesh, op.solve_full(load_vector(mesh)))
+    return FemField(mesh, DarcyProblem(mesh).solve_banded(b))
 
 
 def solve_derivative_1(mesh: TriangularMesh, b, u0, xi) -> FemField:
     """First derivative of the solution map along the direction xi."""
-    op = _FactoredOperator(mesh, b)
-    xibar = _triangle_means(mesh, _nodal(xi))
-    rhs = _gradient_rhs(mesh, op.coef * xibar, _nodal(u0))
-    return FemField(mesh, op.solve_full(rhs))
+    op = BandedStiffness(DarcyProblem(mesh), b)
+    xibar = _triangle_means(mesh, _nodal(xi))[None]
+    return FemField(mesh, op.first_order(xibar, _nodal(u0))[:, 0])
 
 
 def solve_derivative_2_diag(mesh: TriangularMesh, b, u0, w1, xi) -> FemField:
     """Second derivative along (xi, xi), given the first-derivative field."""
-    op = _FactoredOperator(mesh, b)
-    xibar = _triangle_means(mesh, _nodal(xi))
-    rhs = _gradient_rhs(mesh, 2.0 * op.coef * xibar, _nodal(w1))
-    rhs += _gradient_rhs(mesh, op.coef * xibar ** 2, _nodal(u0))
-    return FemField(mesh, op.solve_full(rhs))
+    op = BandedStiffness(DarcyProblem(mesh), b)
+    xibar = _triangle_means(mesh, _nodal(xi))[None]
+    return FemField(mesh, op.second_order(xibar, _nodal(u0), _nodal(w1))[:, 0])
 
 
 def observe(u, points=OBSERVATION_POINTS) -> np.ndarray:
@@ -174,11 +139,13 @@ class DarcyProblem:
         self._setup_banded()
 
     def _setup_banded(self):
-        """Index plumbing for a banded per-sample assembly and solve.
+        """Index plumbing for the one banded stiffness operator.
 
         Interior vertices keep their lexicographic order, so the interior
         semi-bandwidth is one grid row.  Element contributions touching the
-        boundary are dropped, which implements the Dirichlet elimination.
+        boundary are dropped, which implements the Dirichlet elimination:
+        the lower band of the stiffness matrix and the interior rows of
+        element load vectors are each gathered by one bincount.
         """
         mesh = self.mesh
         idx = mesh.interior
@@ -187,34 +154,83 @@ class DarcyProblem:
         renum[idx] = np.arange(self.n_int)
         tri_int = renum[mesh.triangles]  # (T, 3), -1 marks boundary vertices
 
-        local = local_stiffness(mesh)  # (T, 3, 3)
+        self._local = local_stiffness(mesh)  # (T, 3, 3)
         ii = tri_int[:, :, None].repeat(3, axis=2)
         jj = tri_int[:, None, :].repeat(3, axis=1)
         keep = (ii >= 0) & (jj >= 0) & (ii >= jj)
         self._band_tri = np.repeat(np.arange(mesh.n_triangles), keep.sum(axis=(1, 2)))
-        self._band_gvals = local[keep]
+        self._band_gvals = self._local[keep]
         self.semi_bw = int((ii[keep] - jj[keep]).max())
         self._band_flat = (ii[keep] - jj[keep]) * self.n_int + jj[keep]
         self._band_shape = (self.semi_bw + 1, self.n_int)
+        self._slot_interior = tri_int >= 0  # element-vector slots that land inside
+        self._slot_node = tri_int[self._slot_interior]
         self.f_int = self.load[idx]
 
-    def conductivity(self, b_nodal) -> np.ndarray:
-        return _conductivity(self.mesh, b_nodal)
+    def gradient_rhs(self, *terms) -> np.ndarray:
+        """Interior right-hand sides -sum_T s_T (G_T v_T), one column per direction.
+
+        Each term pairs triangle weights s of shape (M, T) with a nodal field
+        v of shape (N,) or (M, N).  The terms are summed per element and all
+        M columns are scattered by one bincount; the result is (n_int, M).
+        """
+        tri = self.mesh.triangles
+        local = sum(
+            s[:, :, None] * np.einsum("tij,...tj->...ti", self._local, v[..., tri])
+            for s, v in terms
+        )
+        m = local.shape[0]
+        flat = self._slot_node + self.n_int * np.arange(m)[:, None]
+        rhs = np.bincount(
+            flat.ravel(), weights=-local[:, self._slot_interior].ravel(), minlength=m * self.n_int
+        )
+        return rhs.reshape(m, self.n_int).T
 
     def solve_banded(self, b_nodal) -> np.ndarray:
         """Forward solve through the banded Cholesky path."""
-        coef = self.conductivity(b_nodal)
-        vals = coef[self._band_tri] * self._band_gvals
-        ab = np.bincount(
-            self._band_flat, weights=vals, minlength=self._band_shape[0] * self.n_int
-        ).reshape(self._band_shape)
+        return BandedStiffness(self, b_nodal).solve(self.f_int)
+
+
+class BandedStiffness:
+    """Banded Cholesky factor of the interior stiffness matrix for one field b.
+
+    Factored once, then reused for the forward load and for every derivative
+    column, all columns of one derivative order in one multi-RHS solve.  A
+    non-finite conductivity or a breakdown of the factorization raises
+    SolverFailure.
+    """
+
+    def __init__(self, problem: DarcyProblem, b):
+        self.problem = problem
+        self.coef = _conductivity(problem.mesh, b)
+        vals = self.coef[problem._band_tri] * problem._band_gvals
+        n_band, n_int = problem._band_shape
+        ab = np.bincount(problem._band_flat, weights=vals, minlength=n_band * n_int)
         try:
-            u_int = solveh_banded(ab, self.f_int, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailure(f"banded solve failed: {exc}") from exc
-        u = np.zeros(self.mesh.n_nodes)
-        u[self.mesh.interior] = u_int
-        return u
+            self._factor = cholesky_banded(ab.reshape(n_band, n_int), lower=True)
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            raise SolverFailure(f"stiffness factorization failed: {exc}") from exc
+
+    def solve(self, rhs_int) -> np.ndarray:
+        """Interior solve, (n_int,) or (n_int, M), embedded with zero boundary values."""
+        # the factor is finite once factored; finiteness of the right-hand
+        # side is the caller's, so the per-call scan is skipped
+        x = cho_solve_banded((self._factor, True), rhs_int, check_finite=False)
+        out = np.zeros((self.problem.mesh.n_nodes,) + x.shape[1:])
+        out[self.problem.mesh.interior] = x
+        return out
+
+    def first_order(self, xibars, u) -> np.ndarray:
+        """Derivatives (N, M) of the solution u along directions with centroid
+        values xibars (M, T)."""
+        return self.solve(self.problem.gradient_rhs((self.coef * xibars, u)))
+
+    def second_order(self, xibars, u, w1) -> np.ndarray:
+        """Second derivatives (N, M) along (xi_j, xi_j), given the first
+        derivatives w1, shaped (M, N) or (N,) for a single direction."""
+        return self.solve(
+            self.problem.gradient_rhs((2.0 * self.coef * xibars, w1), (self.coef * xibars ** 2, u))
+        )
 
 
 class DarcyModel(ForwardModel):
@@ -282,32 +298,24 @@ class DarcyModel(ForwardModel):
     def tensor_error_norm(self, k) -> float:
         return tensor_l2_norm(self.problem.mass, k)
 
-    def linearize(self, expansion: AffineExpansion, reference):
-        op = _FactoredOperator(self.problem.mesh, reference)
-        u0 = op.solve_full(self.problem.load)
-        q0 = self.problem.obs_matrix @ u0
-        mesh = self.problem.mesh
-        xibars = _triangle_means(mesh, expansion.modes.T).T  # (M, T)
-        rhs = np.column_stack(
-            [_gradient_rhs(mesh, op.coef * xb, u0) for xb in xibars]
-        )
-        w1 = op.solve_full(rhs)  # (N, M)
+    def _first_order(self, expansion: AffineExpansion, reference):
+        """Factor at the reference, its forward field u0 and the mode
+        derivatives w1 (N, M): the 1 + M solves linearize and evaluate_at share."""
+        op = BandedStiffness(self.problem, reference)
+        u0 = op.solve(self.problem.f_int)
+        xibars = _triangle_means(self.problem.mesh, expansion.modes)  # (M, T)
+        w1 = op.first_order(xibars, u0)
         self.solve_count += 1 + expansion.n_modes
-        return q0, (self.problem.obs_matrix @ w1).T
+        return op, u0, xibars, w1
+
+    def linearize(self, expansion: AffineExpansion, reference):
+        _, u0, _, w1 = self._first_order(expansion, reference)
+        return self.problem.obs_matrix @ u0, (self.problem.obs_matrix @ w1).T
 
     def evaluate_at(self, expansion: AffineExpansion, reference) -> ModelEvaluations:
         mesh = self.problem.mesh
         ref = np.asarray(reference, dtype=float)
-        op = _FactoredOperator(mesh, ref)
-        u0 = op.solve_full(self.problem.load)
-        q0 = self.problem.obs_matrix @ u0
-        solves = 1
-
-        xibars = _triangle_means(mesh, expansion.modes.T).T  # (M, T)
-        rhs1 = np.column_stack([_gradient_rhs(mesh, op.coef * xb, u0) for xb in xibars])
-        w1 = op.solve_full(rhs1)  # (N, M)
-        solves += expansion.n_modes
-        dq_modes = (self.problem.obs_matrix @ w1).T
+        op, u0, xibars, w1 = self._first_order(expansion, ref)
 
         if self.prediction == "r1":
             r0 = ref.copy()
@@ -317,31 +325,21 @@ class DarcyModel(ForwardModel):
         else:
             r0 = u0
             dr_modes = w1.T.copy()
-            rhs2 = np.column_stack(
-                [
-                    _gradient_rhs(mesh, 2.0 * op.coef * xb, w1[:, j])
-                    + _gradient_rhs(mesh, op.coef * xb ** 2, u0)
-                    for j, xb in enumerate(xibars)
-                ]
-            )
-            d2r_diag = op.solve_full(rhs2).T.copy()
-            solves += expansion.n_modes
+            d2r_diag = op.second_order(xibars, u0, dr_modes).T.copy()
+            self.solve_count += expansion.n_modes
 
             mean_dir = expansion.coefficient_means() @ expansion.modes
             if np.any(mean_dir != 0.0):
-                mbar = _triangle_means(mesh, mean_dir)
-                w1_mean = op.solve_full(_gradient_rhs(mesh, op.coef * mbar, u0))
-                rhs_mean = _gradient_rhs(mesh, 2.0 * op.coef * mbar, w1_mean)
-                rhs_mean += _gradient_rhs(mesh, op.coef * mbar ** 2, u0)
-                d2r_meandir = op.solve_full(rhs_mean)
-                solves += 2
+                mbar = _triangle_means(mesh, mean_dir)[None]
+                w1_mean = op.first_order(mbar, u0)[:, 0]
+                d2r_meandir = op.second_order(mbar, u0, w1_mean)[:, 0]
+                self.solve_count += 2
             else:
                 d2r_meandir = np.zeros(mesh.n_nodes)
 
-        self.solve_count += solves
         return ModelEvaluations(
-            q0=q0,
-            dq_modes=dq_modes,
+            q0=self.problem.obs_matrix @ u0,
+            dq_modes=(self.problem.obs_matrix @ w1).T,
             r0=r0,
             dr_modes=dr_modes,
             d2r_diag=d2r_diag,

@@ -2,10 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from postpert.darcy import (
     OBSERVATION_POINTS,
     STUDY_OBSERVATIONS,
+    BandedStiffness,
+    DarcyModel,
     DarcyProblem,
     FemField,
     build_darcy,
@@ -17,11 +21,11 @@ from postpert.darcy import (
     solve_forward,
 )
 from postpert.errors import DimensionMismatch, SolverFailure
-from postpert.fem import build_unit_square_mesh
+from postpert.fem import assemble_weighted_stiffness, build_unit_square_mesh, load_vector
 from postpert.linalg import sigma_inner
 from postpert.model_api import evaluate_at
 
-from oracles import fourier_poisson_center, jacobi_eigenvalues
+from oracles import fourier_poisson_center, gauss_solve, jacobi_eigenvalues, observed_order
 
 # Point observations of the forward solution at the constant reference b = 1,
 # mesh level 3.  Frozen from a run of the partial-pivoting direct solver.
@@ -64,18 +68,49 @@ class TestForwardSolve:
         np.testing.assert_allclose(shifted, np.exp(-0.8) * u, rtol=1e-13)
 
     def test_banded_path_matches_dense_factorization(self, mesh_level_3):
+        """Both forward entry points against pivoted elimination on the dense
+        interior block of the independently assembled stiffness matrix."""
+        mesh = mesh_level_3
         rng = np.random.default_rng(11)
-        b = 0.4 * rng.normal(size=mesh_level_3.n_nodes)
-        problem = DarcyProblem(mesh_level_3)
-        np.testing.assert_allclose(
-            problem.solve_banded(b), solve_forward(mesh_level_3, b).values, atol=1e-13
+        b = 0.4 * rng.normal(size=mesh.n_nodes)
+        idx = mesh.interior
+        coef = np.exp(b[mesh.triangles].mean(axis=1))
+        dense = np.zeros(mesh.n_nodes)
+        dense[idx] = gauss_solve(
+            assemble_weighted_stiffness(mesh, coef)[np.ix_(idx, idx)], load_vector(mesh)[idx]
         )
+        np.testing.assert_allclose(DarcyProblem(mesh).solve_banded(b), dense, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(solve_forward(mesh, b).values, dense, rtol=0, atol=1e-13)
 
     def test_overflowing_coefficient_raises_without_warning(self, mesh_level_2):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SolverFailure):
                 solve_forward(mesh_level_2, np.full(mesh_level_2.n_nodes, 2000.0))
+
+    @pytest.mark.parametrize("entry", ["linearize", "evaluate_at"])
+    def test_overflowing_coefficient_in_model_raises_without_warning(self, darcy_level_2, entry):
+        model, expansion = darcy_level_2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverFailure):
+                getattr(model, entry)(expansion, np.full(model.parameter_dim, 2000.0))
+
+    @pytest.mark.parametrize("entry", ["solve_forward", "linearize", "evaluate_at"])
+    @pytest.mark.parametrize("level", [-2000.0, 709.0])
+    def test_factorization_breakdown_raises_solver_failure(self, darcy_level_2, entry, level):
+        """exp(-2000) underflows to a zero stiffness matrix, which has no
+        Cholesky factor; exp(709) is finite but the assembled band overflows.
+        Every path reports both as the same error."""
+        model, expansion = darcy_level_2
+        b = np.full(model.parameter_dim, level)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverFailure, match="factorization"):
+                if entry == "solve_forward":
+                    solve_forward(model.problem.mesh, b)
+                else:
+                    getattr(model, entry)(expansion, b)
 
     def test_observe_requires_fem_field(self):
         with pytest.raises(DimensionMismatch):
@@ -201,6 +236,100 @@ class TestDarcyModel:
         ev = evaluate_at(model, expansion)
         np.testing.assert_allclose(q0, ev.q0, atol=1e-14)
         np.testing.assert_allclose(dq, ev.dq_modes, atol=1e-14)
+
+
+@pytest.fixture(scope="module")
+def darcy_operator_cases():
+    """Level -> (problem, centered expansion, shifted expansion)."""
+    cases = {}
+    for level, tol in ((2, 1e-2), (3, 1e-3)):
+        model, centered = build_darcy(level, kle_tol=tol, centered=True)
+        _, shifted = build_darcy(level, kle_tol=tol, centered=False)
+        cases[level] = (model.problem, centered, shifted)
+    return cases
+
+
+# level, shifted laws or not, and coefficients in [-1, 1] for up to 22 modes
+_reference_draws = st.tuples(
+    st.sampled_from((2, 3)),
+    st.booleans(),
+    st.lists(st.floats(-1.0, 1.0), min_size=22, max_size=22),
+)
+
+
+def _draw_case(cases, draw):
+    """Problem, expansion and a bounded reference x0 + sum_j z_j std_j mode_j."""
+    level, shifted, z = draw
+    problem, centered, uncentered = cases[level]
+    expansion = uncentered if shifted else centered
+    std = np.sqrt(expansion.coefficient_variances())
+    reference = expansion.x0 + (np.asarray(z[: expansion.n_modes]) * std) @ expansion.modes
+    return problem, expansion, reference
+
+
+class TestBandedOperatorProperties:
+    """The one operator behind forward, derivative and per-sample solves,
+    checked at random references through the ForwardModel interface."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(draw=_reference_draws)
+    def test_multi_rhs_solve_equals_column_solves(self, darcy_operator_cases, draw):
+        problem, expansion, reference = _draw_case(darcy_operator_cases, draw)
+        op = BandedStiffness(problem, reference)
+        u0 = op.solve(problem.f_int)
+        xibars = expansion.modes[:, problem.mesh.triangles].mean(axis=2)
+        rhs = problem.gradient_rhs((op.coef * xibars, u0))
+        together = op.solve(rhs)
+        one_by_one = np.column_stack([op.solve(rhs[:, j]) for j in range(rhs.shape[1])])
+        np.testing.assert_allclose(together, one_by_one, rtol=0, atol=1e-13 * np.abs(one_by_one).max())
+
+    @settings(max_examples=8, deadline=None)
+    @given(draw=_reference_draws)
+    def test_r2_derivatives_match_central_differences(self, darcy_operator_cases, draw):
+        problem, expansion, reference = _draw_case(darcy_operator_cases, draw)
+        model = DarcyModel(problem, "r2")
+        ev = model.evaluate_at(expansion, reference)
+        directions = list(expansion.modes)
+        second = list(ev.d2r_diag)
+        mean_dir = expansion.coefficient_means() @ expansion.modes
+        if mean_dir.any():
+            directions.append(mean_dir)
+            second.append(ev.d2r_meandir)
+        r0 = model.predict(reference)
+        steps = (2e-2, 1e-2, 5e-3)
+        errors = {"dq": [], "dr": [], "d2r": []}
+        for h in steps:
+            fd_q, fd_r, fd2_r = [], [], []
+            for xi in directions:
+                q_plus, q_minus = model.observe(reference + h * xi), model.observe(reference - h * xi)
+                r_plus, r_minus = model.predict(reference + h * xi), model.predict(reference - h * xi)
+                fd_q.append((q_plus - q_minus) / (2 * h))
+                fd_r.append((r_plus - r_minus) / (2 * h))
+                fd2_r.append((r_plus - 2.0 * r0 + r_minus) / (h * h))
+            m = expansion.n_modes
+            errors["dq"].append(np.linalg.norm(np.array(fd_q[:m]) - ev.dq_modes))
+            errors["dr"].append(np.linalg.norm(np.array(fd_r[:m]) - ev.dr_modes))
+            errors["d2r"].append(np.linalg.norm(np.array(fd2_r) - np.array(second)))
+        for name, errs in errors.items():
+            order = observed_order(steps, errs)
+            assert order >= 1.9, f"{name}: order {order:.3f}, errors {errs}"
+
+    @settings(max_examples=8, deadline=None)
+    @given(draw=_reference_draws)
+    def test_solve_counts(self, darcy_operator_cases, draw):
+        problem, expansion, reference = _draw_case(darcy_operator_cases, draw)
+        m = expansion.n_modes
+        shifted = bool(expansion.coefficient_means().any())
+        r1, r2 = DarcyModel(problem, "r1"), DarcyModel(problem, "r2")
+        for model, call, expected in (
+            (r1, "linearize", 1 + m),
+            (r2, "linearize", 1 + m),
+            (r1, "evaluate_at", 1 + m),
+            (r2, "evaluate_at", (3 if shifted else 1) + 2 * m),
+        ):
+            before = model.solve_count
+            getattr(model, call)(expansion, reference)
+            assert model.solve_count - before == expected, (model.name, call)
 
 
 class TestStudyObservations:
