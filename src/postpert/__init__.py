@@ -18,9 +18,6 @@ from .errors import (
 )
 from .expansion import (
     PosteriorMoments,
-    expand_posterior_correlation,
-    expand_posterior_covariance,
-    expand_posterior_mean,
     expand_posterior_moments,
 )
 from .estimators import (
@@ -31,9 +28,7 @@ from .estimators import (
     tensor_grid_oracle,
 )
 from .linalg import (
-    EigenPairs,
     SpdMatrix,
-    cholesky_solve,
     field_l2_norm,
     generalized_sym_eig,
     sigma_inner,
@@ -53,9 +48,7 @@ from .prior import (
     KleBasis,
     brownian_bridge_modes,
     build_kle,
-    coefficient_moments,
     gaussian_kernel,
-    realize,
 )
 from .refine import RefineState, refine_step, run_refinement, tikhonov_gradient
 

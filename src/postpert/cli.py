@@ -41,8 +41,8 @@ from .expansion import expand_posterior_moments
 from .fem import build_unit_square_mesh
 from .lv import OBSERVED_DATA, build_lotka_volterra, lv_noise_covariance
 from .model_api import MeasurementSetup, evaluate_at, generate_data
-from .prior import build_kle, export_kle_csv, gaussian_kernel
-from .refine import export_history_csv, run_refinement
+from .prior import build_kle, gaussian_kernel
+from .refine import run_refinement
 
 _MODELS = ("darcy", "lotka-volterra")
 _QUANTITIES = ("mean", "correlation", "covariance")
@@ -428,10 +428,18 @@ def run_refinement_study(cfg: StudyConfig):
     results = _map_ordered(one, cfg.alphas, cfg.threads)
     histories = {alpha: rows for alpha, (rows, _) in zip(cfg.alphas, results)}
     records = [record for _, record in results]
-    export_history_csv(histories, cfg.output)
-    final_path = _sibling_path(cfg.output, "-final")
     _write_rows(
-        final_path,
+        cfg.output,
+        ("alpha", "iteration", "update_norm"),
+        [
+            (_fmt(alpha), it, _fmt(norm))
+            for alpha, norms in histories.items()
+            for it, norm in enumerate(norms)
+        ],
+        "refinement history",
+    )
+    _write_rows(
+        _sibling_path(cfg.output, "-final"),
         _FINAL_HEADER,
         [
             (
@@ -446,6 +454,7 @@ def run_refinement_study(cfg: StudyConfig):
             )
             for r in records
         ],
+        "report",
     )
     return histories, records
 
@@ -458,6 +467,7 @@ def run_generate_data(cfg: StudyConfig) -> MeasurementSetup:
         cfg.output,
         ("index", "value"),
         [(i, _fmt(v)) for i, v in enumerate(meas.data)],
+        "report",
     )
     return meas
 
@@ -466,7 +476,15 @@ def run_kle_dump(cfg: StudyConfig):
     cfg = cfg.validate()
     mesh = build_unit_square_mesh(cfg.mesh_level)
     basis = build_kle(gaussian_kernel(KERNEL_GAMMA), mesh, cfg.kle_tol)
-    export_kle_csv(basis, cfg.output)
+    _write_rows(
+        cfg.output,
+        ["mode", "eigenvalue"] + [f"node_{i}" for i in range(basis.eigenfields.shape[1])],
+        [
+            [k, _fmt(basis.eigenvalues[k])] + [_fmt(v) for v in basis.eigenfields[k]]
+            for k in range(basis.retained)
+        ],
+        "KLE basis",
+    )
     return basis
 
 
@@ -484,14 +502,15 @@ def _sibling_path(path: str, tag: str) -> str:
     return f"{root}{tag}.{ext}"
 
 
-def _write_rows(path, header, rows) -> None:
+def _write_rows(path, header, rows, what: str) -> None:
+    """The one CSV writer: CRLF line ends, floats preformatted by _fmt."""
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\r\n")
             writer.writerow(header)
             writer.writerows(rows)
     except OSError as exc:
-        raise IoFailure(f"could not write report to {path}: {exc}") from exc
+        raise IoFailure(f"could not write {what} to {path}: {exc}") from exc
 
 
 def emit_report(records, path) -> None:
@@ -512,6 +531,7 @@ def emit_report(records, path) -> None:
             )
             for r in records
         ],
+        "report",
     )
 
 

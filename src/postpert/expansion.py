@@ -2,18 +2,23 @@
 
 For the affine perturbation model x = x0 + alpha * sum_j mode_j z_j with
 pairwise uncorrelated coefficients z_j, the posterior moments of a smooth
-prediction R admit expansions around the reference whose terms involve only
-the model solves collected in ModelEvaluations:
+prediction R are polynomials in alpha whose coefficients involve only the
+model solves collected in ModelEvaluations:
 
-  mean  = r0
-        + alpha   * sum_j E[z_j] dr_j
-        + alpha^2 * ( sum_j Var[z_j] d2r_j + d2r_mean ) / 2
-        + alpha^2 * sum_j Var[z_j] dr_j <delta - q0, dq_j>_Sigma
+  m1 = sum_j E[z_j] dr_j
+  m2 = ( sum_j Var[z_j] d2r_j + d2r_mean ) / 2
+     + sum_j Var[z_j] <delta - q0, dq_j>_Sigma dr_j
+  C2 = sum_j Var[z_j] dr_j dr_j^T
 
-with matching tensor-valued formulas for the second moments below.  The
-truncation error is O(alpha^3) in general and O(alpha^4) when every law is
-centered and skewless.  Because all stored derivatives are for unit modes,
-alpha enters each term analytically with one power per derivative order.
+  mean        = r0 + alpha m1 + alpha^2 m2
+  covariance  = alpha^2 C2
+  correlation = r0 r0^T + r0 u^T + u r0^T + alpha^2 m1 m1^T + covariance,
+                with u = alpha m1 + alpha^2 m2
+
+The truncation error is O(alpha^3) in general and O(alpha^4) when every law
+is centered (all supported laws are symmetric about their mean).  Because
+all stored derivatives are for unit modes, alpha enters each term
+analytically with one power per derivative order.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .model_api import MeasurementSetup, ModelEvaluations, residual_weighted
+from .model_api import MeasurementSetup, ModelEvaluations, data_coupling
 from .prior import CoefficientLaw
 
 _SOURCES = ("expansion", "qmc", "mc", "quadrature")
@@ -50,79 +55,31 @@ class PosteriorMoments:
             raise DimensionMismatch(f"unknown moment source {self.source!r}")
 
 
-def _law_arrays(laws) -> tuple[np.ndarray, np.ndarray]:
-    means = np.array([law.mean for law in laws])
-    variances = np.array([law.variance for law in laws])
-    return means, variances
-
-
-def _data_coupling(evals: ModelEvaluations, meas: MeasurementSetup) -> np.ndarray:
-    """Per-mode weighted residual products <delta - q0, dq_j>_Sigma."""
-    residual = meas.data - evals.q0
-    return evals.dq_modes @ residual_weighted(meas, residual)
-
-
-def expand_posterior_mean(
-    evals: ModelEvaluations,
-    meas: MeasurementSetup,
-    laws: tuple[CoefficientLaw, ...],
-    alpha: float,
-) -> np.ndarray:
-    means, variances = _law_arrays(laws)
-    s = _data_coupling(evals, meas)
-    first = means @ evals.dr_modes
-    second = 0.5 * (variances @ evals.second_diag() + evals.second_meandir())
-    coupled = (variances * s) @ evals.dr_modes
-    return evals.r0 + alpha * first + alpha ** 2 * (second + coupled)
-
-
-def expand_posterior_correlation(
-    evals: ModelEvaluations,
-    meas: MeasurementSetup,
-    laws: tuple[CoefficientLaw, ...],
-    alpha: float,
-) -> np.ndarray:
-    means, variances = _law_arrays(laws)
-    s = _data_coupling(evals, meas)
-    r0 = evals.r0
-    dr = evals.dr_modes
-    dr_mean = means @ dr
-    d2_sum = variances @ evals.second_diag() + evals.second_meandir()
-    coupled = (variances * s) @ dr
-
-    out = np.outer(r0, r0)
-    out += alpha * (np.outer(dr_mean, r0) + np.outer(r0, dr_mean))
-    out += 0.5 * alpha ** 2 * (np.outer(d2_sum, r0) + np.outer(r0, d2_sum))
-    out += alpha ** 2 * (variances[:, None] * dr).T @ dr
-    out += alpha ** 2 * np.outer(dr_mean, dr_mean)
-    out += alpha ** 2 * (np.outer(coupled, r0) + np.outer(r0, coupled))
-    return 0.5 * (out + out.T)
-
-
-def expand_posterior_covariance(
-    evals: ModelEvaluations,
-    laws: tuple[CoefficientLaw, ...],
-    alpha: float,
-) -> np.ndarray:
-    """Leading covariance term; carries no data dependence at this order."""
-    _, variances = _law_arrays(laws)
-    dr = evals.dr_modes
-    out = alpha ** 2 * (variances[:, None] * dr).T @ dr
-    return 0.5 * (out + out.T)
-
-
 def expand_posterior_moments(
     evals: ModelEvaluations,
     meas: MeasurementSetup,
     laws: tuple[CoefficientLaw, ...],
     alpha: float,
 ) -> PosteriorMoments:
-    """All three moment expansions bundled, tagged with their source."""
-    centered = all(law.mean == 0.0 for law in laws)
+    """Expanded mean, correlation and covariance at one prior scale alpha."""
+    means = np.array([law.mean for law in laws])
+    variances = np.array([law.variance for law in laws])
+    dr = evals.dr_modes
+    s = data_coupling(meas, evals.q0, evals.dq_modes)
+
+    m1 = means @ dr
+    m2 = 0.5 * (variances @ evals.second_diag() + evals.second_meandir())
+    m2 = m2 + (variances * s) @ dr
+    c2 = (variances[:, None] * dr).T @ dr
+    c2 = 0.5 * (c2 + c2.T)
+
+    covariance = alpha ** 2 * c2
+    cross = np.outer(evals.r0, evals.r0 + 2.0 * (alpha * m1 + alpha ** 2 * m2))
+    correlation = 0.5 * (cross + cross.T) + alpha ** 2 * np.outer(m1, m1) + covariance
     return PosteriorMoments(
-        mean=expand_posterior_mean(evals, meas, laws, alpha),
-        correlation=expand_posterior_correlation(evals, meas, laws, alpha),
-        covariance=expand_posterior_covariance(evals, laws, alpha),
-        centered=centered,
+        mean=evals.r0 + alpha * m1 + alpha ** 2 * m2,
+        correlation=correlation,
+        covariance=covariance,
+        centered=all(law.mean == 0.0 for law in laws),
         source="expansion",
     )

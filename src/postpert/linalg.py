@@ -74,32 +74,6 @@ class SpdMatrix:
         return f"SpdMatrix(n={self.n})"
 
 
-class EigenPairs:
-    """Eigenvalues (non-increasing) with matching coefficient vectors.
-
-    vectors[:, k] belongs to values[k]; for a generalized problem the
-    vectors are m-orthonormal.
-    """
-
-    def __init__(self, values, vectors):
-        values = np.asarray(values, dtype=float)
-        vectors = np.asarray(vectors, dtype=float)
-        if values.ndim != 1 or vectors.ndim != 2 or vectors.shape[1] != values.size:
-            raise DimensionMismatch(
-                f"values {values.shape} and vectors {vectors.shape} do not match"
-            )
-        self.values = values
-        self.vectors = vectors
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-def cholesky_solve(a: SpdMatrix, rhs) -> np.ndarray:
-    """Solve a x = rhs through the cached Cholesky factor of a."""
-    return a.solve(rhs)
-
-
 def sigma_inner(sigma: SpdMatrix, u, v) -> float:
     """Weighted inner product <u, v>_sigma = u^T sigma^{-1} v."""
     u = np.asarray(u, dtype=float)
@@ -138,11 +112,15 @@ def tensor_l2_norm(m: SpdMatrix, k) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
-def generalized_sym_eig(a, m: SpdMatrix, count_or_tol=None) -> EigenPairs:
+def generalized_sym_eig(
+    a, m: SpdMatrix, count_or_tol=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Solve a v = lambda m v for a symmetric and m SPD.
 
     The problem is reduced to standard form with the Cholesky factor of m
-    and solved densely, so the returned vectors are m-orthonormal.
+    and solved densely.  Returns (values, vectors) like np.linalg.eigh, but
+    with values non-increasing; vectors[:, k] belongs to values[k] and the
+    vectors are m-orthonormal.
 
     count_or_tol selects the truncation rule:
       - None: keep everything,
@@ -184,4 +162,4 @@ def generalized_sym_eig(a, m: SpdMatrix, count_or_tol=None) -> EigenPairs:
             raise EmptyBasis("no eigenvalue passed the truncation threshold")
 
     vectors = solve_triangular(L.T, vecs[:, :keep], lower=False)
-    return EigenPairs(values[:keep], vectors)
+    return values[:keep], vectors

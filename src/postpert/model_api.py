@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, MissingSecondDerivatives
-from .linalg import SpdMatrix, cholesky_solve, sigma_inner
+from .linalg import SpdMatrix, sigma_inner
 from .prior import AffineExpansion
 
 
@@ -189,9 +189,9 @@ def likelihood_terms(evals: ModelEvaluations, meas: MeasurementSetup):
     return nu0, residual
 
 
-def residual_weighted(meas: MeasurementSetup, residual) -> np.ndarray:
-    """sigma^{-1} residual, shared by several downstream formulas."""
-    return cholesky_solve(meas.sigma, residual)
+def data_coupling(meas: MeasurementSetup, q, dq) -> np.ndarray:
+    """Per-mode data coupling <delta - q, dq_j>_Sigma = dq @ Sigma^{-1} (delta - q)."""
+    return dq @ meas.sigma.solve(meas.data - q)
 
 
 def generate_data(model: ForwardModel, expansion: AffineExpansion, seed: int) -> MeasurementSetup:

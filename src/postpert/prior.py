@@ -8,14 +8,13 @@ a fixed analytic family such as the Brownian-bridge sine series.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyBasis, IoFailure
+from .errors import DimensionMismatch, EmptyBasis
 from .fem import TriangularMesh, assemble_mass
-from .linalg import EigenPairs, SpdMatrix, generalized_sym_eig
+from .linalg import SpdMatrix, generalized_sym_eig
 
 _LAW_KINDS = ("uniform-symmetric", "uniform-shifted", "standard-normal")
 
@@ -62,11 +61,6 @@ class CoefficientLaw:
             return 1.0
         return self.halfwidth ** 2 / 3.0
 
-    @property
-    def third_central_moment(self) -> float:
-        # all supported laws are symmetric about their mean
-        return 0.0
-
     def map_draw(self, u):
         """Map law-native draws (uniform in [-1,1], or standard normal) to z."""
         u = np.asarray(u, dtype=float)
@@ -79,11 +73,6 @@ class CoefficientLaw:
         if self.kind == "standard-normal":
             return rng.standard_normal(size)
         return rng.uniform(-1.0, 1.0, size)
-
-
-def coefficient_moments(law: CoefficientLaw) -> tuple[float, float, float]:
-    """(mean, variance, third central moment) of a coefficient law."""
-    return (law.mean, law.variance, law.third_central_moment)
 
 
 @dataclass
@@ -122,10 +111,6 @@ class AffineExpansion:
     def centered(self) -> bool:
         return all(law.mean == 0.0 for law in self.laws)
 
-    @property
-    def skewless(self) -> bool:
-        return all(law.third_central_moment == 0.0 for law in self.laws)
-
     def coefficient_means(self) -> np.ndarray:
         return np.array([law.mean for law in self.laws])
 
@@ -159,10 +144,6 @@ class AffineExpansion:
         if s.shape != (self.n_modes,):
             raise DimensionMismatch(f"expected {self.n_modes} shifts, got {s.shape}")
         return self.x0 + s @ self.modes
-
-
-def realize(expansion: AffineExpansion, native_draws) -> np.ndarray:
-    return expansion.realize(native_draws)
 
 
 @dataclass
@@ -203,14 +184,13 @@ def build_kle(kernel, mesh: TriangularMesh, tol: float) -> KleBasis:
     galerkin = p.T @ kmat @ p
     galerkin = 0.5 * (galerkin + galerkin.T)
 
-    pairs: EigenPairs = generalized_sym_eig(galerkin, SpdMatrix(mass), float(tol))
-    if len(pairs) == 0:
-        raise EmptyBasis("no KLE mode passed the truncation threshold")
+    # the relative threshold raises EmptyBasis when no mode passes it
+    values, vectors = generalized_sym_eig(galerkin, SpdMatrix(mass), float(tol))
     return KleBasis(
-        eigenvalues=pairs.values,
-        eigenfields=pairs.vectors.T.copy(),
+        eigenvalues=values,
+        eigenfields=vectors.T.copy(),
         truncation_tol=float(tol),
-        retained=len(pairs),
+        retained=values.size,
     )
 
 
@@ -221,19 +201,3 @@ def brownian_bridge_modes(n_modes: int, tgrid) -> np.ndarray:
     t = np.asarray(tgrid, dtype=float)
     k = np.arange(1, n_modes + 1)[:, None]
     return np.sqrt(2.0) * np.sin(k * np.pi * t[None, :]) / (k * np.pi)
-
-
-def export_kle_csv(basis: KleBasis, path) -> None:
-    """One row per retained mode: index, eigenvalue, nodal values."""
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            n = basis.eigenfields.shape[1]
-            writer.writerow(["mode", "eigenvalue"] + [f"node_{i}" for i in range(n)])
-            for k in range(basis.retained):
-                writer.writerow(
-                    [k, format(basis.eigenvalues[k], ".17e")]
-                    + [format(v, ".17e") for v in basis.eigenfields[k]]
-                )
-    except OSError as exc:
-        raise IoFailure(f"could not write KLE basis to {path}: {exc}") from exc

@@ -16,13 +16,12 @@ are shifted by the accumulated reference motion.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import Diverged, IoFailure, PostpertError, SingularPrior
-from .model_api import ForwardModel, MeasurementSetup, residual_weighted
+from .errors import Diverged, PostpertError, SingularPrior
+from .model_api import ForwardModel, MeasurementSetup, data_coupling
 from .prior import AffineExpansion
 
 _BLOWUP_FACTOR = 1e6
@@ -57,7 +56,7 @@ def _update_direction(
 ) -> np.ndarray:
     x = state.reference_point(expansion)
     q, dq = model.linearize(expansion, x)
-    coupled = dq @ residual_weighted(meas, meas.data - q)
+    coupled = data_coupling(meas, q, dq)
     alpha = expansion.alpha
     shifted_means = alpha * expansion.coefficient_means() + state.y0 - state.y
     return shifted_means + alpha ** 2 * expansion.coefficient_variances() * coupled
@@ -152,23 +151,8 @@ def tikhonov_gradient(
     alpha = expansion.alpha
     x = expansion.point_from_shift(y - y0)
     q, dq = model.linearize(expansion, x)
-    coupled = dq @ residual_weighted(meas, meas.data - q)
+    coupled = data_coupling(meas, q, dq)
     prior_pull = (y - y0 - alpha * expansion.coefficient_means()) / (
         alpha ** 2 * variances
     )
     return -coupled + prior_pull
-
-
-def export_history_csv(histories: dict[float, list[float]], path) -> None:
-    """Update-norm history rows keyed by expansion scale."""
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["alpha", "iteration", "update_norm"])
-            for alpha in histories:
-                for it, norm in enumerate(histories[alpha]):
-                    writer.writerow(
-                        [format(alpha, ".17e"), it, format(norm, ".17e")]
-                    )
-    except OSError as exc:
-        raise IoFailure(f"could not write refinement history to {path}: {exc}") from exc

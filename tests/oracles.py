@@ -209,3 +209,48 @@ def laplace_importance_mean(model, expansion, meas, evals, n_pairs, seed=0):
     w = np.exp(logw - logw.max())
     ess_fraction = float(w.sum() ** 2 / (w.size * np.sum(w * w)))
     return ratio(chunks), ratio([c for c in chunks if c[3]]), ess_fraction
+
+
+def expansion_moments(evals, meas, laws, alpha):
+    """Expanded posterior (mean, correlation, covariance), term by term.
+
+    Evaluates the formulas of the postpert.expansion module docstring with
+    plain loops over modes and entries, writing the correlation's cross term
+    u = alpha m1 + alpha^2 m2 out as its separate terms.  The data coupling
+    <delta - q0, dq_j>_Sigma goes through gauss_solve.
+    """
+    n_modes, n_obs = np.shape(evals.dq_modes)
+    z = len(evals.r0)
+    r0, dr = evals.r0, evals.dr_modes
+    d2 = np.zeros((n_modes, z)) if evals.d2r_diag is None else evals.d2r_diag
+    d2m = np.zeros(z) if evals.d2r_meandir is None else evals.d2r_meandir
+    weighted = gauss_solve(meas.sigma.entries, meas.data - evals.q0)
+    coupling = [sum(evals.dq_modes[j, i] * weighted[i] for i in range(n_obs)) for j in range(n_modes)]
+
+    m1 = np.zeros(z)
+    half_d2 = np.zeros(z)  # (sum_j Var[z_j] d2r_j + d2r_mean) / 2
+    coupled = np.zeros(z)  # sum_j Var[z_j] s_j dr_j
+    for a in range(z):
+        half_d2[a] = 0.5 * d2m[a]
+        for j, law in enumerate(laws):
+            m1[a] += law.mean * dr[j, a]
+            half_d2[a] += 0.5 * law.variance * d2[j, a]
+            coupled[a] += law.variance * coupling[j] * dr[j, a]
+
+    mean = np.zeros(z)
+    corr = np.zeros((z, z))
+    cov = np.zeros((z, z))
+    for a in range(z):
+        mean[a] = r0[a] + alpha * m1[a] + alpha ** 2 * (half_d2[a] + coupled[a])
+        for b in range(z):
+            for j, law in enumerate(laws):
+                cov[a, b] += alpha ** 2 * law.variance * dr[j, a] * dr[j, b]
+            corr[a, b] = (
+                r0[a] * r0[b]
+                + alpha * (m1[a] * r0[b] + r0[a] * m1[b])
+                + alpha ** 2 * (half_d2[a] * r0[b] + r0[a] * half_d2[b])
+                + alpha ** 2 * (coupled[a] * r0[b] + r0[a] * coupled[b])
+                + alpha ** 2 * m1[a] * m1[b]
+                + cov[a, b]
+            )
+    return mean, corr, cov

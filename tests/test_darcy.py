@@ -43,7 +43,7 @@ class TestNoiseCovariance:
     def test_spectrum(self):
         """(J + 4I)/1000 has one eigenvalue (5+4)/1000 and four (0+4)/1000."""
         eigs = jacobi_eigenvalues(darcy_noise_covariance().entries.tolist())
-        np.testing.assert_allclose(eigs, [0.009, 0.004, 0.004, 0.004, 0.004], atol=1e-14)
+        np.testing.assert_allclose(eigs, [0.009, 0.004, 0.004, 0.004, 0.004], rtol=0, atol=1e-14)
 
 
 class TestForwardSolve:
@@ -128,9 +128,9 @@ class TestDerivativeSolves:
         one = np.ones(mesh_level_2.n_nodes)
         u0 = solve_forward(mesh_level_2, b)
         w1 = solve_derivative_1(mesh_level_2, b, u0, one)
-        np.testing.assert_allclose(w1.values, -u0.values, atol=1e-14)
+        np.testing.assert_allclose(w1.values, -u0.values, rtol=0, atol=1e-14)
         w2 = solve_derivative_2_diag(mesh_level_2, b, u0, w1, one)
-        np.testing.assert_allclose(w2.values, u0.values, atol=1e-14)
+        np.testing.assert_allclose(w2.values, u0.values, rtol=0, atol=1e-14)
 
     def test_first_derivative_matches_central_difference(self, mesh_level_2):
         rng = np.random.default_rng(3)
@@ -234,8 +234,8 @@ class TestDarcyModel:
         model, expansion = darcy_level_2
         q0, dq = model.linearize(expansion, expansion.x0)
         ev = evaluate_at(model, expansion)
-        np.testing.assert_allclose(q0, ev.q0, atol=1e-14)
-        np.testing.assert_allclose(dq, ev.dq_modes, atol=1e-14)
+        np.testing.assert_allclose(q0, ev.q0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(dq, ev.dq_modes, rtol=0, atol=1e-14)
 
 
 @pytest.fixture(scope="module")

@@ -1,21 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from postpert.errors import DimensionMismatch
 from postpert.estimators import tensor_grid_oracle
-from postpert.expansion import (
-    PosteriorMoments,
-    expand_posterior_correlation,
-    expand_posterior_covariance,
-    expand_posterior_mean,
-    expand_posterior_moments,
-)
+from postpert.expansion import PosteriorMoments, expand_posterior_moments
 from postpert.linalg import SpdMatrix
 from postpert.model_api import MeasurementSetup, ModelEvaluations, evaluate_at
 from postpert.prior import AffineExpansion, CoefficientLaw
 from postpert.toy import ConjugateGaussianModel
 
-from oracles import conjugate_posterior_1d
+from oracles import conjugate_posterior_1d, expansion_moments
 
 TOY_DATA = np.array([0.25, -0.05])
 
@@ -42,18 +38,19 @@ class TestDegenerateInputs:
     def test_zero_derivatives_mean_is_reference(self):
         ev = _still_evals([1.5, -2.0])
         meas = MeasurementSetup(data=np.zeros(2), sigma=SpdMatrix(np.eye(2)))
-        got = expand_posterior_mean(ev, meas, _uniform_laws(2), alpha=0.3)
+        got = expand_posterior_moments(ev, meas, _uniform_laws(2), alpha=0.3).mean
         assert np.allclose(got, [1.5, -2.0])
 
     def test_zero_derivatives_correlation_is_outer_square(self):
         ev = _still_evals([1.5, -2.0])
         meas = MeasurementSetup(data=np.zeros(2), sigma=SpdMatrix(np.eye(2)))
-        got = expand_posterior_correlation(ev, meas, _uniform_laws(2), alpha=0.3)
+        got = expand_posterior_moments(ev, meas, _uniform_laws(2), alpha=0.3).correlation
         assert np.allclose(got, np.outer([1.5, -2.0], [1.5, -2.0]))
 
     def test_zero_derivatives_covariance_vanishes(self):
         ev = _still_evals([1.5, -2.0])
-        got = expand_posterior_covariance(ev, _uniform_laws(2), alpha=0.3)
+        meas = MeasurementSetup(data=np.zeros(2), sigma=SpdMatrix(np.eye(2)))
+        got = expand_posterior_moments(ev, meas, _uniform_laws(2), alpha=0.3).covariance
         assert np.allclose(got, 0.0)
 
 
@@ -74,7 +71,7 @@ class TestScalarClosedForm:
 
     def test_mean_gap_is_fourth_order(self):
         ev, meas, expansion = self._setup()
-        got = expand_posterior_mean(ev, meas, expansion.laws, expansion.alpha)[0]
+        got = expand_posterior_moments(ev, meas, expansion.laws, expansion.alpha).mean[0]
         assert got == pytest.approx(1e-3, rel=1e-12)
         exact, _ = conjugate_posterior_1d(0.0, 1.0, 0.01, 1.0, 0.1)
         assert exact == pytest.approx(0.1 * 0.01 / 1.01, rel=1e-12)
@@ -86,7 +83,7 @@ class TestScalarClosedForm:
         s2_values = [1e-1, 1e-2, 1e-3, 1e-4]
         for s2 in s2_values:
             ev, meas, expansion = self._setup(prior_var=s2)
-            got = expand_posterior_mean(ev, meas, expansion.laws, expansion.alpha)[0]
+            got = expand_posterior_moments(ev, meas, expansion.laws, expansion.alpha).mean[0]
             exact, _ = conjugate_posterior_1d(0.0, 1.0, s2, 1.0, 0.1)
             gaps.append(abs(got - exact))
         gaps = np.array(gaps)
@@ -96,7 +93,7 @@ class TestScalarClosedForm:
 
     def test_second_moment_gap_is_fourth_order(self):
         ev, meas, expansion = self._setup()
-        got = expand_posterior_correlation(ev, meas, expansion.laws, expansion.alpha)
+        got = expand_posterior_moments(ev, meas, expansion.laws, expansion.alpha).correlation
         mean, var = conjugate_posterior_1d(0.0, 1.0, 0.01, 1.0, 0.1)
         exact_second = var + mean ** 2
         assert got[0, 0] == pytest.approx(0.01, rel=1e-12)
@@ -118,7 +115,8 @@ class TestRankOneCovariance:
             prediction_affine=True,
         )
         laws = (CoefficientLaw.uniform_symmetric(np.sqrt(lam)),)
-        got = expand_posterior_covariance(ev, laws, alpha=0.5)
+        meas = MeasurementSetup(data=np.ones(1), sigma=SpdMatrix(np.eye(1)))
+        got = expand_posterior_moments(ev, meas, laws, alpha=0.5).covariance
         assert np.allclose(got, 0.25 * lam / 3.0 * np.outer(v, v), rtol=1e-13)
 
 
@@ -195,3 +193,57 @@ class TestMomentsBundle:
                 centered=True,
                 source="made-up",
             )
+
+
+_LAW_FAMILIES = {
+    "centered": lambda rng: CoefficientLaw.uniform_symmetric(rng.uniform(0.5, 2.0)),
+    "shifted": lambda rng: CoefficientLaw.uniform_shifted(
+        rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
+    ),
+    "normal": lambda rng: CoefficientLaw.standard_normal(),
+}
+
+
+class TestAgainstTermByTermOracle:
+    """The coefficient-once routine against a plain-loop evaluation of the
+    module docstring's formulas, on random derivative bundles."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k=st.integers(2, 5),
+        z=st.integers(2, 5),
+        m=st.integers(1, 4),
+        second=st.booleans(),
+        family=st.sampled_from(sorted(_LAW_FAMILIES)),
+        alpha=st.floats(2.0 ** -6, 1.0),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_matches_oracle(self, k, z, m, second, family, alpha, seed):
+        rng = np.random.default_rng(seed)
+        ev = ModelEvaluations(
+            q0=rng.normal(size=k),
+            dq_modes=rng.normal(size=(m, k)),
+            r0=rng.normal(size=z),
+            dr_modes=rng.normal(size=(m, z)),
+            d2r_diag=rng.normal(size=(m, z)) if second else None,
+            d2r_meandir=rng.normal(size=z) if second else None,
+            reference=np.zeros(3),
+            prediction_affine=not second,
+        )
+        root = rng.normal(size=(k, k))
+        sigma = SpdMatrix(root @ root.T + k * np.eye(k))
+        meas = MeasurementSetup(data=rng.normal(size=k), sigma=sigma)
+        laws = tuple(_LAW_FAMILIES[family](rng) for _ in range(m))
+
+        got = expand_posterior_moments(ev, meas, laws, alpha)
+        want = expansion_moments(ev, meas, laws, alpha)
+        for name, value, ref in zip(
+            ("mean", "correlation", "covariance"),
+            (got.mean, got.correlation, got.covariance),
+            want,
+        ):
+            np.testing.assert_allclose(
+                value, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(), err_msg=name
+            )
+        assert np.array_equal(got.correlation, got.correlation.T)
+        assert np.array_equal(got.covariance, got.covariance.T)

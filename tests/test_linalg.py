@@ -5,7 +5,6 @@ from postpert.errors import DimensionMismatch, NotSpd
 from postpert.fem import assemble_mass, mass_spd
 from postpert.linalg import (
     SpdMatrix,
-    cholesky_solve,
     field_l2_norm,
     generalized_sym_eig,
     sigma_inner,
@@ -22,20 +21,20 @@ DARCY_SIGMA_INV_E1 = np.array([2000.0 / 9.0] + [-250.0 / 9.0] * 4)
 class TestCholeskySolve:
     def test_identity(self):
         a = SpdMatrix(np.eye(3))
-        assert np.allclose(cholesky_solve(a, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+        assert np.allclose(a.solve([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
     def test_diagonal(self):
         a = SpdMatrix(np.diag([2.0, 2.0]))
-        assert np.allclose(cholesky_solve(a, [1.0, 0.0]), [0.5, 0.0])
+        assert np.allclose(a.solve([1.0, 0.0]), [0.5, 0.0])
 
     def test_observation_noise_matrix(self):
-        got = cholesky_solve(SpdMatrix(DARCY_SIGMA), np.eye(5)[0])
+        got = SpdMatrix(DARCY_SIGMA).solve(np.eye(5)[0])
         assert np.allclose(got, DARCY_SIGMA_INV_E1, atol=1e-12)
         assert np.allclose(got, gauss_solve(DARCY_SIGMA, np.eye(5)[0]), atol=1e-12)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(DimensionMismatch):
-            cholesky_solve(SpdMatrix(np.eye(2)), np.ones(3))
+            SpdMatrix(np.eye(2)).solve(np.ones(3))
 
 
 class TestSigmaInner:
@@ -74,13 +73,13 @@ class TestSpdMatrix:
 
 class TestGeneralizedEig:
     def test_diagonal(self):
-        pairs = generalized_sym_eig(np.diag([3.0, 1.0]), SpdMatrix(np.eye(2)))
-        assert np.allclose(pairs.values, [3.0, 1.0])
-        assert np.allclose(np.abs(pairs.vectors), np.eye(2))
+        values, vectors = generalized_sym_eig(np.diag([3.0, 1.0]), SpdMatrix(np.eye(2)))
+        assert np.allclose(values, [3.0, 1.0])
+        assert np.allclose(np.abs(vectors), np.eye(2))
 
     def test_degenerate_spectrum(self):
-        pairs = generalized_sym_eig(np.eye(2), SpdMatrix(np.eye(2)))
-        assert np.allclose(pairs.values, [1.0, 1.0])
+        values, _ = generalized_sym_eig(np.eye(2), SpdMatrix(np.eye(2)))
+        assert np.allclose(values, [1.0, 1.0])
 
     def test_kernel_galerkin_matrix_against_oracle(self, mesh_level_2):
         """Dense generalized eigenvalues agree with the rotation-based oracle."""
@@ -93,11 +92,11 @@ class TestGeneralizedEig:
         a = 0.5 * (a + a.T)
         m = mass_spd(mesh)
 
-        pairs = generalized_sym_eig(a, m)
+        values, vectors = generalized_sym_eig(a, m)
         expected = generalized_eigenvalues(a, m.entries)
-        assert np.allclose(pairs.values, expected, atol=1e-10)
+        assert np.allclose(values, expected, atol=1e-10)
         # returned vectors must actually solve the pencil
-        for lam, v in zip(pairs.values[:5], pairs.vectors.T[:5]):
+        for lam, v in zip(values[:5], vectors.T[:5]):
             assert np.linalg.norm(a @ v - lam * (m.entries @ v)) < 1e-9
 
 

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from postpert.cli import StudyConfig, run_kle_dump
 from postpert.darcy import KERNEL_GAMMA
 from postpert.errors import DimensionMismatch, EmptyBasis
 from postpert.fem import build_unit_square_mesh
@@ -11,8 +12,6 @@ from postpert.prior import (
     CoefficientLaw,
     brownian_bridge_modes,
     build_kle,
-    coefficient_moments,
-    export_kle_csv,
     gaussian_kernel,
 )
 
@@ -20,17 +19,16 @@ from postpert.prior import (
 class TestCoefficientLaw:
     def test_uniform_symmetric_moments(self):
         law = CoefficientLaw.uniform_symmetric(0.6)
-        assert coefficient_moments(law) == (0.0, pytest.approx(0.12), 0.0)
+        assert (law.mean, law.variance) == (0.0, pytest.approx(0.12))
 
     def test_uniform_shifted_moments(self):
         law = CoefficientLaw.uniform_shifted(0.6, -0.2)
         assert law.mean == -0.2
         assert law.variance == pytest.approx(0.12)
-        assert law.third_central_moment == 0.0
 
     def test_standard_normal_moments(self):
         law = CoefficientLaw.standard_normal()
-        assert coefficient_moments(law) == (0.0, 1.0, 0.0)
+        assert (law.mean, law.variance) == (0.0, 1.0)
 
     def test_map_draw_affine_transport(self):
         law = CoefficientLaw.uniform_shifted(2.0, 0.5)
@@ -97,10 +95,9 @@ class TestAffineExpansion:
         assert other.laws == exp.laws
         np.testing.assert_array_equal(other.modes, exp.modes)
 
-    def test_centered_and_skewless_flags(self):
+    def test_centered_flag(self):
         exp = self._expansion()
         assert not exp.centered
-        assert exp.skewless
         centered = AffineExpansion(
             exp.x0, exp.modes, (CoefficientLaw.uniform_symmetric(1.0),) * 2
         )
@@ -157,10 +154,9 @@ class TestBrownianBridgeModes:
 
 
 class TestKleExport:
-    def test_round_trip(self, tmp_path, mesh_level_2):
-        basis = build_kle(gaussian_kernel(KERNEL_GAMMA), mesh_level_2, 1e-2)
+    def test_round_trip(self, tmp_path):
         path = tmp_path / "modes.csv"
-        export_kle_csv(basis, path)
+        basis = run_kle_dump(StudyConfig(mesh_level=2, kle_tol=1e-2, output=str(path)))
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0][:2] == ["mode", "eigenvalue"]

@@ -3,13 +3,13 @@ import csv
 import numpy as np
 import pytest
 
+from postpert.cli import StudyConfig, run_refinement_study
 from postpert.darcy import STUDY_OBSERVATIONS, darcy_noise_covariance
 from postpert.errors import Diverged
 from postpert.model_api import MeasurementSetup
 from postpert.prior import AffineExpansion, CoefficientLaw
 from postpert.refine import (
     RefineState,
-    export_history_csv,
     refine_step,
     run_refinement,
     tikhonov_gradient,
@@ -145,20 +145,25 @@ class TestDarcyRefinement:
 
 
 class TestHistoryExport:
+    def _study(self, path, alphas):
+        return StudyConfig(
+            mesh_level=2, kle_tol=1e-2, alphas=alphas, iterations=3,
+            reference="none", seed=3, output=str(path),
+        )
+
     def test_round_trip(self, tmp_path):
-        histories = {0.5: [1.0, 0.25], 0.25: [0.125]}
         path = tmp_path / "hist.csv"
-        export_history_csv(histories, path)
+        histories, _ = run_refinement_study(self._study(path, (0.5, 0.25)))
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["alpha", "iteration", "update_norm"]
-        assert len(rows) == 4
-        assert float(rows[1][2]) == 1.0
-        assert int(rows[2][1]) == 1
+        want = [(a, it, norm) for a, h in histories.items() for it, norm in enumerate(h)]
+        assert len(want) == 6
+        assert [(float(a), int(it), float(n)) for a, it, n in rows[1:]] == want
 
     def test_empty_histories(self, tmp_path):
         path = tmp_path / "hist.csv"
-        export_history_csv({}, path)
+        run_refinement_study(self._study(path, ()))
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows == [["alpha", "iteration", "update_norm"]]
