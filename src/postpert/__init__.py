@@ -31,7 +31,6 @@ from .linalg import (
     SpdMatrix,
     field_l2_norm,
     generalized_sym_eig,
-    sigma_inner,
     tensor_l2_norm,
 )
 from .model_api import (
@@ -40,7 +39,6 @@ from .model_api import (
     ModelEvaluations,
     evaluate_at,
     generate_data,
-    likelihood_terms,
 )
 from .prior import (
     AffineExpansion,

@@ -25,7 +25,6 @@ with one coefficient law per retained mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -52,23 +51,6 @@ OBSERVATION_POINTS = np.array(
 KERNEL_GAMMA = 20.0 / 3.0
 
 
-@dataclass
-class FemField:
-    """Nodal coefficients of a P1 field together with its mesh."""
-
-    mesh: TriangularMesh
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.mesh.n_nodes,):
-            raise DimensionMismatch("one value per mesh vertex expected")
-
-
-def _nodal(values) -> np.ndarray:
-    return values.values if isinstance(values, FemField) else np.asarray(values, dtype=float)
-
-
 def _triangle_means(mesh: TriangularMesh, nodal: np.ndarray) -> np.ndarray:
     """Centroid values of nodal fields, (N,) -> (T,) or (M, N) -> (M, T)."""
     # sum / 3 is what mean computes, without its per-call overhead
@@ -78,36 +60,10 @@ def _triangle_means(mesh: TriangularMesh, nodal: np.ndarray) -> np.ndarray:
 def _conductivity(mesh: TriangularMesh, b) -> np.ndarray:
     # overflow is handled by the finiteness check, not by a warning
     with np.errstate(over="ignore"):
-        coef = np.exp(_triangle_means(mesh, _nodal(b)))
+        coef = np.exp(_triangle_means(mesh, np.asarray(b, dtype=float)))
     if not np.all(np.isfinite(coef)):
         raise SolverFailure("conductivity overflowed or is not finite")
     return coef
-
-
-def solve_forward(mesh: TriangularMesh, b) -> FemField:
-    """Pressure field for unit source and homogeneous Dirichlet data."""
-    return FemField(mesh, DarcyProblem(mesh).solve_banded(b))
-
-
-def solve_derivative_1(mesh: TriangularMesh, b, u0, xi) -> FemField:
-    """First derivative of the solution map along the direction xi."""
-    op = BandedStiffness(DarcyProblem(mesh), b)
-    xibar = _triangle_means(mesh, _nodal(xi))[None]
-    return FemField(mesh, op.first_order(xibar, _nodal(u0))[:, 0])
-
-
-def solve_derivative_2_diag(mesh: TriangularMesh, b, u0, w1, xi) -> FemField:
-    """Second derivative along (xi, xi), given the first-derivative field."""
-    op = BandedStiffness(DarcyProblem(mesh), b)
-    xibar = _triangle_means(mesh, _nodal(xi))[None]
-    return FemField(mesh, op.second_order(xibar, _nodal(u0), _nodal(w1))[:, 0])
-
-
-def observe(u, points=OBSERVATION_POINTS) -> np.ndarray:
-    """Point values of the solution at the observation locations."""
-    if not isinstance(u, FemField):
-        raise DimensionMismatch("observe expects a FemField")
-    return point_eval_matrix(u.mesh, points) @ u.values
 
 
 def darcy_noise_covariance() -> SpdMatrix:
@@ -260,17 +216,6 @@ class DarcyModel(ForwardModel):
     @property
     def prediction_dim(self) -> int:
         return self.problem.mesh.n_nodes
-
-    def solve_state(self, x) -> DarcyState:
-        b = np.asarray(x, dtype=float)
-        self.solve_count += 1
-        return DarcyState(b=b, u=self.problem.solve_banded(b))
-
-    def observe_state(self, state: DarcyState) -> np.ndarray:
-        return self.problem.obs_matrix @ state.u
-
-    def predict_state(self, state: DarcyState) -> np.ndarray:
-        return state.b if self.prediction == "r1" else state.u
 
     def solve_state_batch(self, xs) -> DarcyState:
         xs = np.asarray(xs, dtype=float)

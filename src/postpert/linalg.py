@@ -74,17 +74,6 @@ class SpdMatrix:
         return f"SpdMatrix(n={self.n})"
 
 
-def sigma_inner(sigma: SpdMatrix, u, v) -> float:
-    """Weighted inner product <u, v>_sigma = u^T sigma^{-1} v."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != (sigma.n,) or v.shape != (sigma.n,):
-        raise DimensionMismatch(
-            f"vectors of shape {u.shape}, {v.shape} do not fit a {sigma.n}-dim weight"
-        )
-    return float(v @ sigma.solve(u))
-
-
 def field_l2_norm(m: SpdMatrix, coeffs) -> float:
     """Norm sqrt(c^T M c) of a nodal field c in the mass inner product."""
     c = np.asarray(coeffs, dtype=float)

@@ -59,62 +59,55 @@ class Trajectory:
                 raise DimensionMismatch("trajectory arrays must share the grid length")
 
 
-def _rates(xi_t, y1, y2):
-    f1 = (GROWTH + xi_t) * y1 - PREDATION * y1 * y2
-    f2 = CONVERSION * y1 * y2 - DECAY * y2
-    return f1, f2
+def _march(xi, record, y_init=INITIAL_STATE):
+    """The nonlinear predictor-corrector march, for one path or a batch.
+
+    xi is one path (n+1,) or a batch of paths (B, n+1).  Returns y1 and y2 at
+    the grid indices in record, each shaped (len(record),) or
+    (B, len(record)).  One path is marched in Python floats and a batch one
+    column of B values at a time; both run the same arithmetic.  The growth
+    rate of the step's end point, the only forcing the corrector sees, is
+    formed once per step and carried over as the next step's start.
+    """
+    batch = xi.ndim == 2
+    n_steps = xi.shape[-1] - 1
+    h = 1.0 / n_steps
+    if batch:
+        cols, nonpositive = xi.T, np.any
+        y1, y2 = (np.full(len(xi), float(v)) for v in y_init)
+    else:
+        cols, nonpositive = xi.tolist(), bool
+        y1, y2 = (float(v) for v in y_init)
+    slot = {int(i): k for k, i in enumerate(record)}
+    y1_out = np.empty(xi.shape[:-1] + (len(slot),))
+    y2_out = np.empty_like(y1_out)
+    if 0 in slot:
+        y1_out[..., slot[0]], y2_out[..., slot[0]] = y1, y2
+    g_next = GROWTH + cols[0]
+    for n in range(n_steps):
+        g, g_next = g_next, GROWTH + cols[n + 1]
+        a = y1 + h * (g * y1 - PREDATION * y1 * y2)
+        b = y2 + h * (CONVERSION * y1 * y2 - DECAY * y2)
+        for _ in range(CORRECTOR_SWEEPS):
+            a, b = (
+                y1 + h * (g_next * a - PREDATION * a * b),
+                y2 + h * (CONVERSION * a * b - DECAY * b),
+            )
+        if nonpositive((a <= 0.0) | (b <= 0.0)):
+            raise NonPositiveState(f"a population left the positive quadrant at step {n + 1}")
+        y1, y2 = a, b
+        k = slot.get(n + 1)
+        if k is not None:
+            y1_out[..., k], y2_out[..., k] = y1, y2
+    return y1_out, y2_out
 
 
 def integrate(xi, y_init=INITIAL_STATE) -> Trajectory:
     """March the nonlinear system across the grid defined by the path xi."""
     xi = np.asarray(xi, dtype=float)
-    n_steps = len(xi) - 1
-    tgrid = lv_time_grid(n_steps)
-    h = 1.0 / n_steps
-    y1 = np.empty(n_steps + 1)
-    y2 = np.empty(n_steps + 1)
-    y1[0], y2[0] = y_init
-    for n in range(n_steps):
-        f1, f2 = _rates(xi[n], y1[n], y2[n])
-        a, b = y1[n] + h * f1, y2[n] + h * f2
-        for _ in range(CORRECTOR_SWEEPS):
-            f1, f2 = _rates(xi[n + 1], a, b)
-            a, b = y1[n] + h * f1, y2[n] + h * f2
-        if a <= 0.0 or b <= 0.0:
-            raise NonPositiveState(f"population left the positive quadrant at step {n + 1}")
-        y1[n + 1], y2[n + 1] = a, b
+    tgrid = lv_time_grid(len(xi) - 1)
+    y1, y2 = _march(xi, range(len(tgrid)), y_init)
     return Trajectory(tgrid, y1, y2, xi)
-
-
-def _integrate_batch_observed(xi_batch: np.ndarray, obs_idx: np.ndarray) -> np.ndarray:
-    """Observation snapshots for a whole batch of paths at once."""
-    batch, cols = xi_batch.shape
-    n_steps = cols - 1
-    h = 1.0 / n_steps
-    y1 = np.full(batch, INITIAL_STATE[0])
-    y2 = np.full(batch, INITIAL_STATE[1])
-    snap = np.empty((batch, 2 * len(obs_idx)))
-    hits = {int(i): k for k, i in enumerate(obs_idx)}
-    for n in range(n_steps):
-        f1, f2 = _rates(xi_batch[:, n], y1, y2)
-        a, b = y1 + h * f1, y2 + h * f2
-        for _ in range(CORRECTOR_SWEEPS):
-            f1, f2 = _rates(xi_batch[:, n + 1], a, b)
-            a, b = y1 + h * f1, y2 + h * f2
-        if np.any(a <= 0.0) or np.any(b <= 0.0):
-            raise NonPositiveState(f"a population left the positive quadrant at step {n + 1}")
-        y1, y2 = a, b
-        k = hits.get(n + 1)
-        if k is not None:
-            snap[:, 2 * k] = y1
-            snap[:, 2 * k + 1] = y2
-    return snap
-
-
-def integrate_derivative(base: Trajectory, mode) -> Trajectory:
-    """Linearized populations for one perturbation direction, zero initial data."""
-    out = integrate_derivative_many(base, np.asarray(mode, dtype=float)[None, :])
-    return Trajectory(base.tgrid, out[0, 0], out[0, 1], np.asarray(mode, dtype=float))
 
 
 def integrate_derivative_many(base: Trajectory, modes: np.ndarray) -> np.ndarray:
@@ -207,21 +200,11 @@ class LotkaVolterraModel(ForwardModel):
     def prediction_dim(self) -> int:
         return self.n_steps + 1
 
-    def solve_state(self, x) -> LvState:
-        xi = np.asarray(x, dtype=float)
-        traj = integrate(xi)
-        self.solve_count += 1
-        return LvState(xi=xi, observed=lv_observe(traj))
-
-    def observe_state(self, state: LvState) -> np.ndarray:
-        return state.observed
-
-    def predict_state(self, state: LvState) -> np.ndarray:
-        return state.xi
-
     def solve_state_batch(self, xs) -> LvState:
         xs = np.asarray(xs, dtype=float)
-        snap = _integrate_batch_observed(xs, self._obs_idx)
+        y1, y2 = _march(xs, self._obs_idx)
+        snap = np.empty((len(xs), self.observation_dim))
+        snap[:, 0::2], snap[:, 1::2] = y1, y2
         self.solve_count += len(xs)
         return LvState(xi=xs, observed=snap)
 

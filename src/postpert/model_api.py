@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, MissingSecondDerivatives
-from .linalg import SpdMatrix, sigma_inner
+from .linalg import SpdMatrix
 from .prior import AffineExpansion
 
 
@@ -97,10 +97,11 @@ class ModelEvaluations:
 class ForwardModel:
     """Base class for concrete forward models.
 
-    Subclasses implement solve_state / observe_state / predict_state and
-    evaluate_at; batched variants default to loops and may be overridden
-    with vectorized versions.  solve_count tracks every forward or
-    derivative solve so tests can assert how much work a study performed.
+    Subclasses implement the batched solve_state_batch / observe_state_batch /
+    predict_state_batch triad and evaluate_at.  A batch is a stack of
+    parameters (B, parameter_dim); observe and predict are a batch of one.
+    solve_count tracks every forward or derivative solve so tests can assert
+    how much work a study performed.
     """
 
     name = "abstract"
@@ -122,31 +123,29 @@ class ForwardModel:
     def prediction_dim(self) -> int:
         raise NotImplementedError
 
-    # -- single evaluations ------------------------------------------------
-    def solve_state(self, x):
+    # -- evaluations --------------------------------------------------------
+    def solve_state_batch(self, xs):
         raise NotImplementedError
-
-    def observe_state(self, state) -> np.ndarray:
-        raise NotImplementedError
-
-    def predict_state(self, state) -> np.ndarray:
-        raise NotImplementedError
-
-    def observe(self, x) -> np.ndarray:
-        return self.observe_state(self.solve_state(x))
-
-    def predict(self, x) -> np.ndarray:
-        return self.predict_state(self.solve_state(x))
-
-    # -- batched evaluations ------------------------------------------------
-    def solve_state_batch(self, xs) -> list:
-        return [self.solve_state(x) for x in np.asarray(xs, dtype=float)]
 
     def observe_state_batch(self, states) -> np.ndarray:
-        return np.stack([self.observe_state(s) for s in states])
+        raise NotImplementedError
 
     def predict_state_batch(self, states) -> np.ndarray:
-        return np.stack([self.predict_state(s) for s in states])
+        raise NotImplementedError
+
+    def _solve_one(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.parameter_dim,):
+            raise DimensionMismatch(
+                f"parameter {x.shape} does not match parameter_dim {self.parameter_dim}"
+            )
+        return self.solve_state_batch(x[None])
+
+    def observe(self, x) -> np.ndarray:
+        return self.observe_state_batch(self._solve_one(x))[0]
+
+    def predict(self, x) -> np.ndarray:
+        return self.predict_state_batch(self._solve_one(x))[0]
 
     # -- structure ----------------------------------------------------------
     def noise_covariance(self) -> SpdMatrix:
@@ -180,13 +179,6 @@ def evaluate_at(model: ForwardModel, expansion: AffineExpansion, reference=None)
     if ev.n_modes != expansion.n_modes:
         raise DimensionMismatch("model returned derivatives for a different mode count")
     return ev
-
-
-def likelihood_terms(evals: ModelEvaluations, meas: MeasurementSetup):
-    """Reference likelihood weight nu0 and the data residual at the reference."""
-    residual = meas.data - evals.q0
-    nu0 = float(np.exp(-0.5 * sigma_inner(meas.sigma, residual, residual)))
-    return nu0, residual
 
 
 def data_coupling(meas: MeasurementSetup, q, dq) -> np.ndarray:

@@ -39,16 +39,6 @@ class ConjugateGaussianModel(ForwardModel):
     def prediction_dim(self) -> int:
         return 1
 
-    def solve_state(self, x):
-        self.solve_count += 1
-        return np.asarray(x, dtype=float)
-
-    def observe_state(self, state):
-        return np.array([self.q0 + self.q1 * state[0]])
-
-    def predict_state(self, state):
-        return state.copy()
-
     def solve_state_batch(self, xs):
         xs = np.asarray(xs, dtype=float)
         self.solve_count += len(xs)
@@ -67,7 +57,7 @@ class ConjugateGaussianModel(ForwardModel):
         ref = np.asarray(reference, dtype=float)
         self.solve_count += 1 + expansion.n_modes
         return ModelEvaluations(
-            q0=self.observe_state(ref),
+            q0=self.q0 + self.q1 * ref,
             dq_modes=self.q1 * expansion.modes,
             r0=ref.copy(),
             dr_modes=expansion.modes.copy(),
@@ -143,16 +133,6 @@ class PolynomialToyModel(ForwardModel):
         return h1, h2
 
     # -- model protocol -------------------------------------------------------
-    def solve_state(self, x):
-        self.solve_count += 1
-        return np.asarray(x, dtype=float)
-
-    def observe_state(self, state):
-        return np.array(self._q(state[0], state[1]))
-
-    def predict_state(self, state):
-        return np.array(self._r(state[0], state[1]))
-
     def solve_state_batch(self, xs):
         xs = np.asarray(xs, dtype=float)
         self.solve_count += len(xs)
@@ -188,9 +168,9 @@ class PolynomialToyModel(ForwardModel):
         d2r_meandir = np.array([w @ h1 @ w, w @ h2 @ w])
 
         return ModelEvaluations(
-            q0=self.observe_state(ref),
+            q0=np.array(self._q(x1, x2)),
             dq_modes=modes @ jq.T,
-            r0=self.predict_state(ref),
+            r0=np.array(self._r(x1, x2)),
             dr_modes=modes @ jr.T,
             d2r_diag=d2r_diag,
             d2r_meandir=d2r_meandir,

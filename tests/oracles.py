@@ -140,6 +140,38 @@ def predator_prey_invariant(y1, y2):
     return 0.15 * y1 - 7.5 * math.log(y1) + 0.075 * y2 - 7.5 * math.log(y2)
 
 
+def lv_march(xi, sweeps, y_init=(20.0, 20.0)):
+    """Predator-prey populations along one path, by a plain-float loop.
+
+    Each step is an explicit Euler predictor followed by `sweeps`
+    implicit-Euler fixed-point sweeps of
+
+        y1' = (7.5 + xi) y1 - 0.075 y1 y2,    y2' = 0.15 y1 y2 - 7.5 y2,
+
+    with the corrector's forcing taken at the step's end point.  Returns
+    (y1, y2, collapse): the populations at every grid index the path reaches
+    while both stay positive, and the number of the step that first leaves
+    the positive quadrant (None if no step does).
+    """
+    xi = [float(v) for v in xi]
+    h = 1.0 / (len(xi) - 1)
+    y1, y2 = [float(y_init[0])], [float(y_init[1])]
+    for n in range(len(xi) - 1):
+        p, q = y1[-1], y2[-1]
+        a = p + h * ((7.5 + xi[n]) * p - 0.075 * p * q)
+        b = q + h * (0.15 * p * q - 7.5 * q)
+        for _ in range(sweeps):
+            a, b = (
+                p + h * ((7.5 + xi[n + 1]) * a - 0.075 * a * b),
+                q + h * (0.15 * a * b - 7.5 * b),
+            )
+        if a <= 0.0 or b <= 0.0:
+            return np.array(y1), np.array(y2), n + 1
+        y1.append(a)
+        y2.append(b)
+    return np.array(y1), np.array(y2), None
+
+
 def _back_sub(upper, b):
     x = np.array(b, dtype=float)
     for i in range(upper.shape[0] - 1, -1, -1):

@@ -16,12 +16,10 @@ import pytest
 from postpert.cli import main
 from postpert.darcy import (
     STUDY_OBSERVATIONS,
+    DarcyModel,
+    DarcyProblem,
     build_darcy,
     darcy_noise_covariance,
-    observe,
-    solve_derivative_1,
-    solve_derivative_2_diag,
-    solve_forward,
 )
 from postpert.errors import Diverged
 from postpert.estimators import SampleBudget, estimate_posterior_sweep, tensor_grid_oracle
@@ -31,10 +29,7 @@ from postpert.lv import (
     OBSERVED_DATA,
     build_lotka_volterra,
     integrate,
-    integrate_derivative,
     lv_noise_covariance,
-    lv_observe,
-    observation_indices,
 )
 from postpert.model_api import MeasurementSetup, evaluate_at
 from postpert.prior import AffineExpansion, CoefficientLaw
@@ -233,57 +228,51 @@ def test_criterion_5_darcy_refinement():
             state = stepped
 
 
+def _along_directions(model, reference, directions):
+    """Derivative bundle at the reference of an expansion whose modes are the
+    given directions, through the ForwardModel interface the expansion uses."""
+    laws = tuple(CoefficientLaw.standard_normal() for _ in directions)
+    expansion = AffineExpansion(x0=reference, modes=np.array(directions), laws=laws)
+    return evaluate_at(model, expansion)
+
+
 def test_criterion_6_derivative_orders():
-    """Finite-difference convergence of every derivative solver, ten random
-    directions each."""
+    """Finite-difference convergence of every derivative the expansion uses,
+    ten random directions each."""
     rng = np.random.default_rng(12)
-    mesh = build_unit_square_mesh(2)
-    b = 0.2 * rng.normal(size=mesh.n_nodes)
-    u0 = solve_forward(mesh, b)
+    model = DarcyModel(DarcyProblem(build_unit_square_mesh(2)), "r2")
+    b = 0.2 * rng.normal(size=model.parameter_dim)
+    directions = [rng.normal(size=model.parameter_dim) for _ in range(10)]
+    ev = _along_directions(model, b, directions)
     first_steps = (1e-2, 5e-3, 2.5e-3)
     second_steps = (4e-2, 2e-2, 1e-2)
-    for trial in range(10):
-        xi = rng.normal(size=mesh.n_nodes)
-        w1 = solve_derivative_1(mesh, b, u0, xi)
+    for trial, xi in enumerate(directions):
         errs = []
         for h in first_steps:
-            fd = (
-                solve_forward(mesh, b + h * xi).values
-                - solve_forward(mesh, b - h * xi).values
-            ) / (2 * h)
-            errs.append(np.linalg.norm(fd - w1.values))
+            fd = (model.predict(b + h * xi) - model.predict(b - h * xi)) / (2 * h)
+            errs.append(np.linalg.norm(fd - ev.dr_modes[trial]))
         order = observed_order(first_steps, errs)
         assert order >= 1.9, f"first derivative, direction {trial}: order {order:.3f}"
 
-        w2 = solve_derivative_2_diag(mesh, b, u0, w1, xi)
         errs = []
         for h in second_steps:
-            fd = (
-                solve_forward(mesh, b + h * xi).values
-                - 2.0 * u0.values
-                + solve_forward(mesh, b - h * xi).values
-            ) / (h * h)
-            errs.append(np.linalg.norm(fd - w2.values))
+            fd = (model.predict(b + h * xi) - 2.0 * ev.r0 + model.predict(b - h * xi)) / (h * h)
+            errs.append(np.linalg.norm(fd - ev.d2r_diag[trial]))
         order = observed_order(second_steps, errs)
         assert order >= 1.9, f"second derivative, direction {trial}: order {order:.3f}"
 
     model, expansion = build_lotka_volterra(n_modes=8, n_steps=1000)
-    base = integrate(expansion.x0)
-    idx = observation_indices(1000)
+    directions = [rng.normal(size=model.parameter_dim) for _ in range(10)]
+    ev = _along_directions(model, expansion.x0, directions)
     path_steps = (2e-2, 1e-2, 5e-3)
-    for trial in range(10):
-        direction = rng.normal(size=model.parameter_dim)
-        deriv = integrate_derivative(base, direction)
-        dq = np.empty(model.observation_dim)
-        dq[0::2] = deriv.y1[idx]
-        dq[1::2] = deriv.y2[idx]
+    for trial, direction in enumerate(directions):
         errs = []
         for h in path_steps:
             fd = (
-                lv_observe(integrate(expansion.x0 + h * direction))
-                - lv_observe(integrate(expansion.x0 - h * direction))
+                model.observe(expansion.x0 + h * direction)
+                - model.observe(expansion.x0 - h * direction)
             ) / (2 * h)
-            errs.append(np.abs(fd - dq).max())
+            errs.append(np.abs(fd - ev.dq_modes[trial]).max())
         order = observed_order(path_steps, errs)
         assert order >= 1.9, f"variational, direction {trial}: order {order:.3f}"
 
@@ -292,7 +281,7 @@ def test_criterion_7_physics_oracles():
     """Independent closed forms: series value of the flat-coefficient pressure,
     the coexistence equilibrium, and the conserved quantity's drift rate."""
     mesh = build_unit_square_mesh(5)
-    center = observe(solve_forward(mesh, np.zeros(mesh.n_nodes)))[0]
+    center = DarcyModel(DarcyProblem(mesh)).observe(np.zeros(mesh.n_nodes))[0]
     series = fourier_poisson_center(100)
     assert abs(series - 0.07367) <= 1e-5
     assert abs(center - series) <= 2e-3

@@ -11,25 +11,30 @@ from postpert.darcy import (
     BandedStiffness,
     DarcyModel,
     DarcyProblem,
-    FemField,
     build_darcy,
     build_darcy_kle,
     darcy_noise_covariance,
-    observe,
-    solve_derivative_1,
-    solve_derivative_2_diag,
-    solve_forward,
 )
 from postpert.errors import DimensionMismatch, SolverFailure
 from postpert.fem import assemble_weighted_stiffness, build_unit_square_mesh, load_vector
-from postpert.linalg import sigma_inner
 from postpert.model_api import evaluate_at
+from postpert.prior import AffineExpansion, CoefficientLaw
 
 from oracles import fourier_poisson_center, gauss_solve, jacobi_eigenvalues, observed_order
 
 # Point observations of the forward solution at the constant reference b = 1,
 # mesh level 3.  Frozen from a run of the partial-pivoting direct solver.
 Q0_LEVEL_3 = np.array([0.02652868, 0.01619475, 0.01619475, 0.01619475, 0.01619475])
+
+
+def _pressure_model(mesh):
+    return DarcyModel(DarcyProblem(mesh), "r2")
+
+
+def _along(model, b, xi):
+    """Derivative bundle at b of an expansion whose one mode is xi."""
+    expansion = AffineExpansion(x0=b, modes=xi[None], laws=(CoefficientLaw.standard_normal(),))
+    return evaluate_at(model, expansion)
 
 
 class TestNoiseCovariance:
@@ -48,28 +53,28 @@ class TestNoiseCovariance:
 
 class TestForwardSolve:
     def test_reference_observations_level_3(self, mesh_level_3):
-        u = solve_forward(mesh_level_3, np.ones(mesh_level_3.n_nodes))
-        q0 = observe(u)
+        q0 = _pressure_model(mesh_level_3).observe(np.ones(mesh_level_3.n_nodes))
         np.testing.assert_allclose(q0, Q0_LEVEL_3, atol=1e-8)
         # the four outer points are grid-symmetric images of each other
         np.testing.assert_allclose(q0[1:], q0[1], rtol=1e-13)
 
     def test_poisson_center_against_series(self, mesh_level_3):
-        u = solve_forward(mesh_level_3, np.zeros(mesh_level_3.n_nodes))
-        center = observe(u)[0]
+        center = _pressure_model(mesh_level_3).observe(np.zeros(mesh_level_3.n_nodes))[0]
         assert center == pytest.approx(fourier_poisson_center(100), abs=2e-3)
 
     def test_constant_log_coefficient_rescales_solution(self, mesh_level_2):
         """exp(b + c) scales the operator, so u(b + c) = exp(-c) u(b) exactly."""
         rng = np.random.default_rng(7)
         b = 0.3 * rng.normal(size=mesh_level_2.n_nodes)
-        u = solve_forward(mesh_level_2, b).values
-        shifted = solve_forward(mesh_level_2, b + 0.8).values
+        model = _pressure_model(mesh_level_2)
+        u = model.predict(b)
+        shifted = model.predict(b + 0.8)
         np.testing.assert_allclose(shifted, np.exp(-0.8) * u, rtol=1e-13)
 
     def test_banded_path_matches_dense_factorization(self, mesh_level_3):
-        """Both forward entry points against pivoted elimination on the dense
-        interior block of the independently assembled stiffness matrix."""
+        """The banded solve and the model's pressure prediction against pivoted
+        elimination on the dense interior block of the independently
+        assembled stiffness matrix."""
         mesh = mesh_level_3
         rng = np.random.default_rng(11)
         b = 0.4 * rng.normal(size=mesh.n_nodes)
@@ -80,13 +85,13 @@ class TestForwardSolve:
             assemble_weighted_stiffness(mesh, coef)[np.ix_(idx, idx)], load_vector(mesh)[idx]
         )
         np.testing.assert_allclose(DarcyProblem(mesh).solve_banded(b), dense, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(solve_forward(mesh, b).values, dense, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(_pressure_model(mesh).predict(b), dense, rtol=0, atol=1e-13)
 
     def test_overflowing_coefficient_raises_without_warning(self, mesh_level_2):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SolverFailure):
-                solve_forward(mesh_level_2, np.full(mesh_level_2.n_nodes, 2000.0))
+                _pressure_model(mesh_level_2).observe(np.full(mesh_level_2.n_nodes, 2000.0))
 
     @pytest.mark.parametrize("entry", ["linearize", "evaluate_at"])
     def test_overflowing_coefficient_in_model_raises_without_warning(self, darcy_level_2, entry):
@@ -96,7 +101,7 @@ class TestForwardSolve:
             with pytest.raises(SolverFailure):
                 getattr(model, entry)(expansion, np.full(model.parameter_dim, 2000.0))
 
-    @pytest.mark.parametrize("entry", ["solve_forward", "linearize", "evaluate_at"])
+    @pytest.mark.parametrize("entry", ["observe", "linearize", "evaluate_at"])
     @pytest.mark.parametrize("level", [-2000.0, 709.0])
     def test_factorization_breakdown_raises_solver_failure(self, darcy_level_2, entry, level):
         """exp(-2000) underflows to a zero stiffness matrix, which has no
@@ -107,58 +112,55 @@ class TestForwardSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SolverFailure, match="factorization"):
-                if entry == "solve_forward":
-                    solve_forward(model.problem.mesh, b)
+                if entry == "observe":
+                    model.observe(b)
                 else:
                     getattr(model, entry)(expansion, b)
 
-    def test_observe_requires_fem_field(self):
-        with pytest.raises(DimensionMismatch):
-            observe(np.zeros(25))
+    def test_observe_requires_fem_field(self, darcy_level_2):
+        """observe and predict take one nodal field, not a stack of them."""
+        model, _ = darcy_level_2
+        fields = np.zeros((2, model.parameter_dim))
+        for entry in (model.observe, model.predict):
+            with pytest.raises(DimensionMismatch):
+                entry(fields)
 
-    def test_field_length_validated(self, mesh_level_2):
-        with pytest.raises(DimensionMismatch):
-            FemField(mesh_level_2, np.zeros(7))
+    def test_field_length_validated(self, darcy_level_2):
+        model, _ = darcy_level_2
+        before = model.solve_count
+        for entry in (model.observe, model.predict):
+            with pytest.raises(DimensionMismatch):
+                entry(np.zeros(7))
+        assert model.solve_count == before
 
 
 class TestDerivativeSolves:
     def test_constant_direction_closed_form(self, mesh_level_2):
         """Along xi = 1 the solution is exp(-t) u0, so w1 = -u0 and w2 = u0."""
         b = np.ones(mesh_level_2.n_nodes)
-        one = np.ones(mesh_level_2.n_nodes)
-        u0 = solve_forward(mesh_level_2, b)
-        w1 = solve_derivative_1(mesh_level_2, b, u0, one)
-        np.testing.assert_allclose(w1.values, -u0.values, rtol=0, atol=1e-14)
-        w2 = solve_derivative_2_diag(mesh_level_2, b, u0, w1, one)
-        np.testing.assert_allclose(w2.values, u0.values, rtol=0, atol=1e-14)
+        ev = _along(_pressure_model(mesh_level_2), b, np.ones(mesh_level_2.n_nodes))
+        np.testing.assert_allclose(ev.dr_modes[0], -ev.r0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(ev.d2r_diag[0], ev.r0, rtol=0, atol=1e-14)
 
     def test_first_derivative_matches_central_difference(self, mesh_level_2):
         rng = np.random.default_rng(3)
         b = 0.2 * rng.normal(size=mesh_level_2.n_nodes)
         xi = rng.normal(size=mesh_level_2.n_nodes)
-        u0 = solve_forward(mesh_level_2, b)
-        w1 = solve_derivative_1(mesh_level_2, b, u0, xi)
+        model = _pressure_model(mesh_level_2)
+        w1 = _along(model, b, xi).dr_modes[0]
         h = 1e-6
-        fd = (
-            solve_forward(mesh_level_2, b + h * xi).values
-            - solve_forward(mesh_level_2, b - h * xi).values
-        ) / (2 * h)
-        np.testing.assert_allclose(w1.values, fd, atol=1e-8)
+        fd = (model.predict(b + h * xi) - model.predict(b - h * xi)) / (2 * h)
+        np.testing.assert_allclose(w1, fd, atol=1e-8)
 
     def test_second_derivative_matches_central_difference(self, mesh_level_2):
         rng = np.random.default_rng(4)
         b = 0.2 * rng.normal(size=mesh_level_2.n_nodes)
         xi = rng.normal(size=mesh_level_2.n_nodes)
-        u0 = solve_forward(mesh_level_2, b)
-        w1 = solve_derivative_1(mesh_level_2, b, u0, xi)
-        w2 = solve_derivative_2_diag(mesh_level_2, b, u0, w1, xi)
+        model = _pressure_model(mesh_level_2)
+        ev = _along(model, b, xi)
         h = 1e-4
-        fd = (
-            solve_forward(mesh_level_2, b + h * xi).values
-            - 2 * u0.values
-            + solve_forward(mesh_level_2, b - h * xi).values
-        ) / (h * h)
-        np.testing.assert_allclose(w2.values, fd, atol=1e-6)
+        fd = (model.predict(b + h * xi) - 2 * ev.r0 + model.predict(b - h * xi)) / (h * h)
+        np.testing.assert_allclose(ev.d2r_diag[0], fd, atol=1e-6)
 
 
 class TestKleBasis:
@@ -195,9 +197,9 @@ class TestDarcyModel:
         assert (model_r1.name, model_r2.name) == ("darcy-r1", "darcy-r2")
         assert model_r1.field_norm_name == "l2"
         b = np.ones(model_r1.parameter_dim)
-        state = model_r1.solve_state(b)
-        np.testing.assert_array_equal(model_r1.predict_state(state), b)
-        np.testing.assert_array_equal(model_r2.predict_state(state), state.u)
+        states = model_r1.solve_state_batch(b[None])
+        np.testing.assert_array_equal(model_r1.predict_state_batch(states), b[None])
+        np.testing.assert_array_equal(model_r2.predict_state_batch(states), states.u)
         with pytest.raises(DimensionMismatch):
             build_darcy(2, prediction="r3")
 
@@ -218,7 +220,7 @@ class TestDarcyModel:
         ev = evaluate_at(model, expansion)
         np.testing.assert_array_equal(ev.dr_modes, expansion.modes)
         np.testing.assert_array_equal(ev.second_diag(), 0.0)
-        np.testing.assert_allclose(ev.q0, observe(solve_forward(model.problem.mesh, expansion.x0)))
+        np.testing.assert_allclose(ev.q0, model.observe(expansion.x0))
 
     def test_evaluation_curvature_branch(self, mesh_level_2):
         model, expansion = build_darcy(2, kle_tol=1e-2, centered=False, prediction="r2")
@@ -337,4 +339,4 @@ class TestStudyObservations:
         """The study data must sit far outside the noise ball around q0."""
         assert STUDY_OBSERVATIONS.shape == OBSERVATION_POINTS.shape[:1]
         r = STUDY_OBSERVATIONS - Q0_LEVEL_3
-        assert sigma_inner(darcy_noise_covariance(), r, r) > 1e3
+        assert r @ darcy_noise_covariance().solve(r) > 1e3

@@ -197,16 +197,6 @@ class _CubicModel(ForwardModel):
     def prediction_dim(self):
         return 1
 
-    def solve_state(self, x):
-        self.solve_count += 1
-        return np.asarray(x, dtype=float)
-
-    def observe_state(self, state):
-        return np.zeros(1)
-
-    def predict_state(self, state):
-        return state ** 3
-
     def solve_state_batch(self, xs):
         xs = np.asarray(xs, dtype=float)
         self.solve_count += len(xs)

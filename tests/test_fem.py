@@ -91,7 +91,7 @@ class TestPointEvaluation:
         pts = np.array([[0.13, 0.41], [0.77, 0.32], [0.5, 0.99]])
         got = point_eval_matrix(mesh, pts) @ vals
         want = 2.0 * pts[:, 0] - 0.7 * pts[:, 1] + 0.25
-        assert np.allclose(got, want, atol=1e-13)
+        assert np.allclose(got, want, rtol=0, atol=1e-13)
 
     def test_outside_point_rejected(self, mesh_level_2):
         with pytest.raises(PointOutsideMesh):
@@ -104,7 +104,7 @@ class TestInterpolation:
         rng = np.random.default_rng(11)
         vals = rng.normal(size=(3, mesh.n_nodes))
         got = interpolate_nodal(mesh, mesh.nodes, vals)
-        assert np.allclose(got, vals, atol=1e-13)
+        assert np.allclose(got, vals, rtol=0, atol=1e-13)
 
     def test_coarse_to_fine_preserves_linears(self):
         coarse = build_unit_square_mesh(1)
@@ -112,4 +112,4 @@ class TestInterpolation:
         vals = coarse.nodes[:, 0] + 3.0 * coarse.nodes[:, 1]
         got = interpolate_nodal(coarse, fine.nodes, vals[None, :])[0]
         want = fine.nodes[:, 0] + 3.0 * fine.nodes[:, 1]
-        assert np.allclose(got, want, atol=1e-13)
+        assert np.allclose(got, want, rtol=0, atol=1e-13)

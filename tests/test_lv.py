@@ -5,13 +5,13 @@ import pytest
 
 from postpert.errors import DimensionMismatch, NonPositiveState
 from postpert.lv import (
+    CORRECTOR_SWEEPS,
     INITIAL_STATE,
     OBSERVED_DATA,
     LotkaVolterraModel,
     Trajectory,
     build_lotka_volterra,
     integrate,
-    integrate_derivative,
     integrate_derivative_many,
     lv_noise_covariance,
     lv_observe,
@@ -20,7 +20,7 @@ from postpert.lv import (
 )
 from postpert.model_api import evaluate_at
 
-from oracles import predator_prey_invariant
+from oracles import lv_march, predator_prey_invariant
 
 
 class TestTimeGrid:
@@ -69,6 +69,30 @@ class TestIntegrator:
         with pytest.raises(NonPositiveState):
             integrate(np.full(101, -1e4))
 
+    def test_one_path_matches_plain_loop_oracle(self):
+        rng = np.random.default_rng(21)
+        xi = np.cumsum(rng.normal(scale=0.3, size=401))
+        traj = integrate(xi)
+        y1, y2, collapse = lv_march(xi, CORRECTOR_SWEEPS)
+        assert collapse is None
+        np.testing.assert_allclose(traj.y1, y1, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(traj.y2, y2, rtol=1e-13, atol=0)
+
+    def test_one_collapsing_row_names_the_oracle_step(self):
+        """Only the middle row collapses; the batch and the single path both
+        report the step at which the oracle first leaves the quadrant."""
+        rng = np.random.default_rng(22)
+        xs = 0.2 * rng.normal(size=(3, 201))
+        xs[1, 90:] = -400.0
+        steps = [lv_march(x, CORRECTOR_SWEEPS)[2] for x in xs]
+        assert steps[0] is None and steps[2] is None and steps[1] is not None
+        model = LotkaVolterraModel(n_steps=200)
+        pattern = rf"\bat step {steps[1]}$"
+        with pytest.raises(NonPositiveState, match=pattern):
+            model.solve_state_batch(xs)
+        with pytest.raises(NonPositiveState, match=pattern):
+            integrate(xs[1])
+
     def test_trajectory_length_validation(self):
         with pytest.raises(DimensionMismatch):
             Trajectory(lv_time_grid(4), np.zeros(5), np.zeros(5), np.zeros(4))
@@ -79,16 +103,15 @@ class TestVariationalSolves:
         model, expansion = build_lotka_volterra(n_modes=8, n_steps=200)
         base = integrate(expansion.x0)
         mode = expansion.modes[2]
-        deriv = integrate_derivative(base, mode)
+        deriv = integrate_derivative_many(base, mode[None])[0]
         idx = observation_indices(200)
         h = 1e-4
-        fd = (
-            lv_observe(integrate(expansion.x0 + h * mode))
-            - lv_observe(integrate(expansion.x0 - h * mode))
-        ) / (2 * h)
+        fd = (model.observe(expansion.x0 + h * mode) - model.observe(expansion.x0 - h * mode)) / (
+            2 * h
+        )
         got = np.empty(8)
-        got[0::2] = deriv.y1[idx]
-        got[1::2] = deriv.y2[idx]
+        got[0::2] = deriv[0, idx]
+        got[1::2] = deriv[1, idx]
         np.testing.assert_allclose(got, fd, atol=1e-5)
 
     def test_linearity_in_the_direction(self):
@@ -103,9 +126,7 @@ class TestVariationalSolves:
         base = integrate(expansion.x0)
         stacked = integrate_derivative_many(base, expansion.modes)
         for m, mode in enumerate(expansion.modes):
-            one = integrate_derivative(base, mode)
-            np.testing.assert_array_equal(stacked[m, 0], one.y1)
-            np.testing.assert_array_equal(stacked[m, 1], one.y2)
+            np.testing.assert_array_equal(stacked[m], integrate_derivative_many(base, mode[None])[0])
 
     def test_direction_grid_must_match_base(self):
         base = integrate(np.zeros(201))
@@ -154,14 +175,26 @@ class TestModelWiring:
         assert model.tensor_error_norm([[1.0, -4.0], [0.0, 2.0]]) == 4.0
 
     def test_batch_observations_match_loop(self, lv_small):
+        """Every row of a batched solve against the plain-loop oracle march."""
         model, expansion = lv_small
         rng = np.random.default_rng(5)
-        xs = expansion.x0 + 0.1 * rng.normal(size=(3, model.parameter_dim))
+        xs = expansion.x0 + rng.normal(size=(6, model.parameter_dim))
         batch = model.observe_state_batch(model.solve_state_batch(xs))
-        for k in range(3):
-            np.testing.assert_allclose(
-                batch[k], model.observe_state(model.solve_state(xs[k])), atol=1e-12
-            )
+        idx = observation_indices(model.n_steps)
+        for k in range(len(xs)):
+            y1, y2, collapse = lv_march(xs[k], CORRECTOR_SWEEPS)
+            assert collapse is None
+            np.testing.assert_allclose(batch[k, 0::2], y1[idx], rtol=1e-13, atol=0)
+            np.testing.assert_allclose(batch[k, 1::2], y2[idx], rtol=1e-13, atol=0)
+
+    def test_observe_validates_path_shape(self, lv_small):
+        model, _ = lv_small
+        before = model.solve_count
+        for bad in (np.zeros(model.parameter_dim + 4), np.zeros((2, model.parameter_dim))):
+            for entry in (model.observe, model.predict):
+                with pytest.raises(DimensionMismatch):
+                    entry(bad)
+        assert model.solve_count == before
 
     def test_evaluation_is_affine_in_the_path(self, lv_small):
         model, expansion = lv_small
@@ -169,7 +202,7 @@ class TestModelWiring:
         assert ev.prediction_affine
         np.testing.assert_array_equal(ev.dr_modes, expansion.modes)
         np.testing.assert_array_equal(ev.second_diag(), 0.0)
-        np.testing.assert_allclose(ev.q0, lv_observe(integrate(expansion.x0)))
+        np.testing.assert_allclose(ev.q0, model.observe(expansion.x0), rtol=1e-13)
 
     def test_bridge_prior_shape(self):
         model, expansion = build_lotka_volterra(n_modes=6, n_steps=200)

@@ -9,12 +9,11 @@ from postpert.model_api import (
     ModelEvaluations,
     evaluate_at,
     generate_data,
-    likelihood_terms,
 )
 from postpert.prior import AffineExpansion, CoefficientLaw
 from postpert.toy import ConjugateGaussianModel, PolynomialToyModel
 
-from oracles import gauss_solve, observed_order
+from oracles import observed_order
 
 
 class TestMeasurementSetup:
@@ -89,39 +88,6 @@ class TestEvaluateAt:
             evaluate_at(model, expansion, reference=np.zeros(5))
 
 
-class TestLikelihoodTerms:
-    def test_zero_misfit(self):
-        ev = _scalar_evals(q0=np.array([2.0]))
-        meas = MeasurementSetup(data=np.array([2.0]), sigma=SpdMatrix(np.eye(1)))
-        nu0, residual = likelihood_terms(ev, meas)
-        assert nu0 == pytest.approx(1.0)
-        assert residual == pytest.approx(0.0)
-
-    def test_unit_residual(self):
-        ev = _scalar_evals(q0=np.array([0.0]))
-        meas = MeasurementSetup(data=np.array([1.0]), sigma=SpdMatrix(np.eye(1)))
-        nu0, _ = likelihood_terms(ev, meas)
-        assert nu0 == pytest.approx(np.exp(-0.5), rel=1e-14)
-
-    def test_correlated_noise_against_elimination_oracle(self):
-        sigma = (np.ones((5, 5)) + 4.0 * np.eye(5)) / 1000.0
-        residual = np.array([0.03, -0.01, 0.02, 0.005, -0.04])
-        ev = ModelEvaluations(
-            q0=np.zeros(5),
-            dq_modes=np.zeros((1, 5)),
-            r0=np.zeros(1),
-            dr_modes=np.zeros((1, 1)),
-            d2r_diag=None,
-            d2r_meandir=None,
-            reference=np.zeros(1),
-            prediction_affine=True,
-        )
-        meas = MeasurementSetup(data=residual, sigma=SpdMatrix(sigma))
-        nu0, _ = likelihood_terms(ev, meas)
-        want = np.exp(-0.5 * residual @ gauss_solve(sigma, residual))
-        assert nu0 == pytest.approx(want, rel=1e-12)
-
-
 class TestGenerateData:
     def test_fixed_seed_reproduces(self, toy_pair):
         model, expansion = toy_pair
@@ -160,15 +126,3 @@ class TestGenerateData:
         assert np.allclose(sample, sigma, atol=3e-3)
         assert np.allclose(residuals.mean(axis=0), 0.0, atol=3e-3)
 
-
-def _scalar_evals(q0):
-    return ModelEvaluations(
-        q0=q0,
-        dq_modes=np.zeros((1, 1)),
-        r0=np.zeros(1),
-        dr_modes=np.zeros((1, 1)),
-        d2r_diag=None,
-        d2r_meandir=None,
-        reference=np.zeros(1),
-        prediction_affine=True,
-    )

@@ -21,9 +21,8 @@ def _poly_expansion(x0=(0.2, -0.1)):
 class TestConjugateGaussian:
     def test_forward_maps(self):
         model = ConjugateGaussianModel(0.5, 2.0, 0.1)
-        state = model.solve_state(np.array([0.3]))
-        assert model.observe_state(state)[0] == pytest.approx(1.1)
-        assert model.predict_state(state)[0] == pytest.approx(0.3)
+        assert model.observe(np.array([0.3]))[0] == pytest.approx(1.1)
+        assert model.predict(np.array([0.3]))[0] == pytest.approx(0.3)
         assert model.noise_covariance().entries[0, 0] == 0.1
 
     def test_batches_match_loops(self):
@@ -55,7 +54,7 @@ class TestConjugateGaussian:
     def test_solve_count_tracks_work(self):
         model = ConjugateGaussianModel(0.0, 1.0, 1.0)
         assert model.solve_count == 0
-        model.solve_state(np.zeros(1))
+        model.observe(np.zeros(1))
         model.solve_state_batch(np.zeros((5, 1)))
         assert model.solve_count == 6
 
@@ -68,8 +67,10 @@ class TestPolynomialToy:
         obs = model.observe_state_batch(states)
         pred = model.predict_state_batch(states)
         for k, x in enumerate(xs):
-            np.testing.assert_allclose(obs[k], model.observe_state(x))
-            np.testing.assert_allclose(pred[k], model.predict_state(x))
+            np.testing.assert_allclose(obs[k], model.observe(x))
+            np.testing.assert_allclose(pred[k], model.predict(x))
+            np.testing.assert_allclose(obs[k], model._q(*x))
+            np.testing.assert_allclose(pred[k], model._r(*x))
 
     @pytest.mark.parametrize("point", [(0.0, 0.0), (0.2, -0.1), (-0.3, 0.4)])
     def test_jacobians_match_finite_differences(self, point):
@@ -79,8 +80,8 @@ class TestPolynomialToy:
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            dq = (model.observe_state(x + e) - model.observe_state(x - e)) / (2 * h)
-            dr = (model.predict_state(x + e) - model.predict_state(x - e)) / (2 * h)
+            dq = (model.observe(x + e) - model.observe(x - e)) / (2 * h)
+            dr = (model.predict(x + e) - model.predict(x - e)) / (2 * h)
             np.testing.assert_allclose(dq, model._q_jacobian(*x)[:, j], atol=1e-8)
             np.testing.assert_allclose(dr, model._r_jacobian(*x)[:, j], atol=1e-8)
 
@@ -94,10 +95,10 @@ class TestPolynomialToy:
                 ei, ej = np.zeros(2), np.zeros(2)
                 ei[i], ej[j] = h, h
                 vals = (
-                    model.predict_state(x + ei + ej)
-                    - model.predict_state(x + ei - ej)
-                    - model.predict_state(x - ei + ej)
-                    + model.predict_state(x - ei - ej)
+                    model.predict(x + ei + ej)
+                    - model.predict(x + ei - ej)
+                    - model.predict(x - ei + ej)
+                    + model.predict(x - ei - ej)
                 ) / (4 * h * h)
                 assert vals[0] == pytest.approx(h1[i, j], abs=1e-5)
                 assert vals[1] == pytest.approx(h2[i, j], abs=1e-5)
@@ -110,9 +111,9 @@ class TestPolynomialToy:
         h = 1e-4
         for m, mode in enumerate(expansion.modes):
             fd = (
-                model.predict_state(expansion.x0 + h * mode)
-                - 2 * model.predict_state(expansion.x0)
-                + model.predict_state(expansion.x0 - h * mode)
+                model.predict(expansion.x0 + h * mode)
+                - 2 * model.predict(expansion.x0)
+                + model.predict(expansion.x0 - h * mode)
             ) / (h * h)
             np.testing.assert_allclose(ev.second_diag()[m], fd, atol=1e-5)
 
@@ -123,9 +124,9 @@ class TestPolynomialToy:
         w = expansion.coefficient_means() @ expansion.modes
         h = 1e-4
         fd = (
-            model.predict_state(expansion.x0 + h * w)
-            - 2 * model.predict_state(expansion.x0)
-            + model.predict_state(expansion.x0 - h * w)
+            model.predict(expansion.x0 + h * w)
+            - 2 * model.predict(expansion.x0)
+            + model.predict(expansion.x0 - h * w)
         ) / (h * h)
         np.testing.assert_allclose(ev.second_meandir(), fd, atol=1e-5)
 
