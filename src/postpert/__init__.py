@@ -24,7 +24,6 @@ from .estimators import (
     SampleBudget,
     estimate_posterior,
     estimate_posterior_sweep,
-    halton_point,
     tensor_grid_oracle,
 )
 from .linalg import (

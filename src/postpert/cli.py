@@ -34,14 +34,13 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .darcy import KERNEL_GAMMA, build_darcy
+from .darcy import build_darcy, build_darcy_kle
 from .errors import Diverged, IoFailure, PostpertError
 from .estimators import SampleBudget, estimate_posterior_sweep
 from .expansion import expand_posterior_moments
 from .fem import build_unit_square_mesh
 from .lv import OBSERVED_DATA, build_lotka_volterra, lv_noise_covariance
 from .model_api import MeasurementSetup, evaluate_at, generate_data
-from .prior import build_kle, gaussian_kernel
 from .refine import run_refinement
 
 _MODELS = ("darcy", "lotka-volterra")
@@ -112,6 +111,8 @@ class StudyConfig:
             raise PostpertError(f"quantity must name any of {_QUANTITIES}, got {self.quantity!r}")
         if any(not (a > 0.0) for a in self.alphas):
             raise PostpertError("alphas must be positive")
+        if self.seed < 0:
+            raise PostpertError("seed must be non-negative")
         if self.threads < 1:
             raise PostpertError("threads must be at least 1")
         if self.iterations < 1:
@@ -317,13 +318,7 @@ def run_convergence_study(cfg: StudyConfig) -> list:
         ref = half = None
         status = "ok" if budget is not None else "no-reference"
         try:
-            if budget is None:
-                pass
-            elif budget.kind == "tensor-grid":
-                ref = estimate_posterior_sweep(
-                    [model], expansion.with_alpha(alpha), [meas], budget
-                )[0][0]
-            else:
+            if budget is not None:
                 grid, half_grid = estimate_posterior_sweep(
                     [model], expansion.with_alpha(alpha), [meas], budget,
                     half_split=True,
@@ -364,14 +359,6 @@ def run_convergence_study(cfg: StudyConfig) -> list:
     return records
 
 
-def _reference_mean(model, expansion, meas, budget) -> np.ndarray:
-    if budget.kind == "tensor-grid":
-        return estimate_posterior_sweep([model], expansion, [meas], budget)[0][0].mean
-    return estimate_posterior_sweep(
-        [model], expansion, [meas], budget, second_moment=False
-    )[0][0]
-
-
 def run_refinement_study(cfg: StudyConfig):
     """Per-alpha refinement histories plus final parameter errors.
 
@@ -407,9 +394,10 @@ def run_refinement_study(cfg: StudyConfig):
         error = math.nan
         if refined is not None and budget is not None:
             try:
-                error = model.field_error_norm(
-                    refined - _reference_mean(model, scaled, meas, budget)
-                )
+                ref = estimate_posterior_sweep(
+                    [model], scaled, [meas], budget, second_moment=False
+                )[0][0]
+                error = model.field_error_norm(refined - ref)
             except PostpertError as exc:
                 status = f"failed:{type(exc).__name__}"
         elapsed = time.perf_counter() - start
@@ -475,7 +463,7 @@ def run_generate_data(cfg: StudyConfig) -> MeasurementSetup:
 def run_kle_dump(cfg: StudyConfig):
     cfg = cfg.validate()
     mesh = build_unit_square_mesh(cfg.mesh_level)
-    basis = build_kle(gaussian_kernel(KERNEL_GAMMA), mesh, cfg.kle_tol)
+    basis = build_darcy_kle(mesh, cfg.kle_tol)
     _write_rows(
         cfg.output,
         ["mode", "eigenvalue"] + [f"node_{i}" for i in range(basis.eigenfields.shape[1])],

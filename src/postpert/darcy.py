@@ -34,7 +34,6 @@ from .errors import DimensionMismatch, SolverFailure
 from .fem import (
     TriangularMesh,
     build_unit_square_mesh,
-    interpolate_nodal,
     load_vector,
     local_stiffness,
     mass_spd,
@@ -294,15 +293,9 @@ class DarcyModel(ForwardModel):
         )
 
 
-def build_darcy_kle(mesh: TriangularMesh, tol: float, kle_level: int | None = None) -> KleBasis:
-    """KLE of the Gaussian kernel, optionally assembled on a finer mesh."""
-    kernel = gaussian_kernel(KERNEL_GAMMA)
-    if kle_level is None:
-        return build_kle(kernel, mesh, tol)
-    fine = build_unit_square_mesh(kle_level)
-    basis = build_kle(kernel, fine, tol)
-    fields = interpolate_nodal(fine, mesh.nodes, basis.eigenfields)
-    return KleBasis(basis.eigenvalues, fields, basis.truncation_tol, basis.retained)
+def build_darcy_kle(mesh: TriangularMesh, tol: float) -> KleBasis:
+    """KLE of the Gaussian kernel on the model mesh."""
+    return build_kle(gaussian_kernel(KERNEL_GAMMA), mesh, tol)
 
 
 def build_darcy(
@@ -311,12 +304,11 @@ def build_darcy(
     centered: bool = True,
     offset: float = 0.1,
     prediction: str = "r2",
-    kle_level: int | None = None,
 ):
     """Model plus matching prior expansion around the constant reference b = 1."""
     mesh = build_unit_square_mesh(mesh_level)
     problem = DarcyProblem(mesh)
-    basis = build_darcy_kle(mesh, kle_tol, kle_level)
+    basis = build_darcy_kle(mesh, kle_tol)
     if centered:
         laws = tuple(CoefficientLaw.uniform_symmetric(np.sqrt(v)) for v in basis.eigenvalues)
     else:

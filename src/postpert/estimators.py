@@ -5,17 +5,22 @@ nu(x) = exp(-0.5 ||delta - Q(x)||^2_Sigma) and prior points x_k,
 
     mean ~ sum_k W_k nu_k R_k / sum_k W_k nu_k,
 
-where W_k are sampling weights (1 for (Q)MC, quadrature weights for the
-tensor grid).  Weights are handled in log space with a running maximum so
-large misfits cannot underflow the ratio.  Sample streams are deterministic
-for a fixed budget: plain Halton points for uniform coefficient laws,
-antithetic normal draws from a counter-based generator for Gaussian laws.
-Accumulation order is fixed (sequential batches of constant size), so
+where W_k are sampling weights.  Weights are handled in log space with a
+running maximum so large misfits cannot underflow the ratio.
+
+Every budget kind is one deterministic sample stream of (draws, log W)
+blocks: plain Halton points for uniform coefficient laws and antithetic
+normal draws from a counter-based generator for Gaussian laws, both with
+W = 1, and the nodes of a tensorized Gauss rule with their quadrature
+weights.  One loop accumulates every stream in its fixed block order, so
 results are bitwise reproducible regardless of how callers schedule work.
+The first half of a (Q)MC budget is a prefix of that order, so the half
+estimate used as a noise gauge is the accumulators' state at that point.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +53,8 @@ class SampleBudget:
             raise DimensionMismatch(f"unknown budget kind {self.kind!r}")
         if self.count < 2:
             raise DimensionMismatch("sample budget must be at least 2")
+        if self.seed < 0:
+            raise DimensionMismatch("the sample seed must be non-negative")
 
     @property
     def source(self) -> str:
@@ -78,14 +85,6 @@ def _radical_inverse(indices, base: int) -> np.ndarray:
     return out
 
 
-def halton_point(index: int, dim: int) -> np.ndarray:
-    """Halton point in [0,1)^dim; indexing starts at 1 (0 maps to the origin)."""
-    if index < 1:
-        raise DimensionMismatch("Halton indices start at 1")
-    bases = first_primes(dim)
-    return np.array([_radical_inverse(index, int(b)) for b in bases])
-
-
 class _MomentAccumulator:
     """Streaming weighted sums with a running log-max for stability."""
 
@@ -98,8 +97,7 @@ class _MomentAccumulator:
 
     def add(self, logw: np.ndarray, r: np.ndarray) -> None:
         self.count += logw.size
-        bmax = float(logw.max()) if logw.size else -np.inf
-        newmax = max(self.logmax, bmax)
+        newmax = max(self.logmax, float(logw.max()))
         if newmax == -np.inf:
             return
         rescale = np.exp(self.logmax - newmax) if np.isfinite(self.logmax) else 0.0
@@ -127,16 +125,20 @@ class _MomentAccumulator:
 
 
 def _misfit_logweights(q: np.ndarray, meas: MeasurementSetup) -> np.ndarray:
+    """Per-row -0.5 ||data - q||^2_Sigma; NaN where an observation is not finite."""
     resid = meas.data[None, :] - q
+    finite = np.isfinite(resid).all(axis=1)
+    if not finite.all():
+        resid = np.where(finite[:, None], resid, 0.0)
     solved = meas.sigma.solve(resid.T)
-    return -0.5 * np.einsum("bk,kb->b", resid, solved)
+    return np.where(finite, -0.5 * np.einsum("bk,kb->b", resid, solved), np.nan)
 
 
-def _native_batches(expansion: AffineExpansion, budget: SampleBudget):
-    """Yield (native_draws, half_mask) blocks in a fixed deterministic order.
+def _sample_stream(expansion: AffineExpansion, budget: SampleBudget):
+    """Yield (native_draws, log_sampling_weight) blocks in a fixed order.
 
-    half_mask marks the rows belonging to the first half of the budget,
-    which downstream code uses for a self-consistency error estimate.
+    The sampling weight is 1 (log weight 0) for Halton points and antithetic
+    draws, and the tensorized Gauss weight of each node for the tensor grid.
     """
     kinds = {law.kind for law in expansion.laws}
     m = expansion.n_modes
@@ -144,65 +146,50 @@ def _native_batches(expansion: AffineExpansion, budget: SampleBudget):
         if not all(k.startswith("uniform") for k in kinds):
             raise DimensionMismatch("Halton sampling requires uniform coefficient laws")
         bases = first_primes(m)
-        half = (budget.count + 1) // 2
-        start = 1
-        while start <= budget.count:
-            stop = min(start + _BATCH, budget.count + 1)
-            idx = np.arange(start, stop)
+        for start in range(1, budget.count + 1, _BATCH):
+            idx = np.arange(start, min(start + _BATCH, budget.count + 1))
             u = np.column_stack([_radical_inverse(idx, int(b)) for b in bases])
-            yield 2.0 * u - 1.0, idx <= half
-            start = stop
+            yield 2.0 * u - 1.0, 0.0
     elif budget.kind == "antithetic-mc":
         if kinds != {"standard-normal"}:
             raise DimensionMismatch("antithetic sampling requires standard-normal laws")
         rng = np.random.Generator(np.random.Philox(budget.seed))
-        half_pairs = (budget.count + 1) // 2
-        done = 0
         pair_batch = _BATCH // 2
-        while done < budget.count:
+        for done in range(0, budget.count, pair_batch):
             npairs = min(pair_batch, budget.count - done)
             u = rng.random((npairs, m))
             z = ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
             native = np.empty((2 * npairs, m))
             native[0::2] = z
             native[1::2] = -z
-            pair_ids = done + np.arange(npairs)
-            mask = np.repeat(pair_ids < half_pairs, 2)
-            yield native, mask
-            done += npairs
+            yield native, 0.0
     else:
-        raise DimensionMismatch(f"budget kind {budget.kind!r} has no sample stream")
+        n = budget.count
+        if m > 6:
+            raise CostGuard(f"tensor grid in {m} dimensions is deliberately refused")
+        if n < 4:
+            raise DimensionMismatch("tensor grids need at least 4 nodes per dimension")
+        if n ** m > _MAX_GRID_POINTS:
+            raise CostGuard("tensor grid would exceed the point budget")
+
+        def rule(kind):
+            if kind == "standard-normal":
+                x, w = np.polynomial.hermite_e.hermegauss(n)
+                return x, np.log(w) - 0.5 * np.log(2.0 * np.pi)
+            x, w = np.polynomial.legendre.leggauss(n)
+            return x, np.log(0.5 * w)
+
+        axes, logws = zip(*(rule(law.kind) for law in expansion.laws))
+        native = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+        logw = sum(g.ravel() for g in np.meshgrid(*logws, indexing="ij"))
+        for start in range(0, len(native), _BATCH):
+            yield native[start:start + _BATCH], logw[start:start + _BATCH]
 
 
-def _quadrature_batches(expansion: AffineExpansion, nodes_per_dim: int):
-    """Yield (native_draws, log_quadrature_weight) blocks of the tensor grid."""
-    m = expansion.n_modes
-    if m > 6:
-        raise CostGuard(f"tensor grid in {m} dimensions is deliberately refused")
-    if nodes_per_dim < 4:
-        raise DimensionMismatch("tensor grids need at least 4 nodes per dimension")
-    if nodes_per_dim ** m > _MAX_GRID_POINTS:
-        raise CostGuard("tensor grid would exceed the point budget")
-
-    axes = []
-    logws = []
-    for law in expansion.laws:
-        if law.kind == "standard-normal":
-            x, w = np.polynomial.hermite_e.hermegauss(nodes_per_dim)
-            axes.append(x)
-            logws.append(np.log(w) - 0.5 * np.log(2.0 * np.pi))
-        else:
-            x, w = np.polynomial.legendre.leggauss(nodes_per_dim)
-            axes.append(x)
-            logws.append(np.log(0.5 * w))
-
-    grids = np.meshgrid(*axes, indexing="ij")
-    native = np.column_stack([g.ravel() for g in grids])
-    wgrids = np.meshgrid(*logws, indexing="ij")
-    logw = sum(g.ravel() for g in wgrids)
-    for start in range(0, len(native), _BATCH):
-        stop = start + _BATCH
-        yield native[start:stop], logw[start:stop]
+def _first_half_rows(budget: SampleBudget):
+    """Stream rows in a (Q)MC budget's first half; None for the tensor grid."""
+    half = (budget.count + 1) // 2
+    return {"halton": half, "antithetic-mc": 2 * half}.get(budget.kind)
 
 
 def estimate_posterior_sweep(
@@ -220,52 +207,57 @@ def estimate_posterior_sweep(
     (model, measurement) pair gets its own weighted accumulators.  Returns a
     grid indexed [model][measurement]; with half_split=True a second grid
     built from only the first half of the budget is returned as well, which
-    gives a cheap estimate of the estimator's own error.
+    gives a cheap estimate of the estimator's own error.  Its entries are
+    None for the tensor grid.  A NaN or +inf log-weight raises DegenerateWeights.
     """
-    if budget.kind == "tensor-grid":
-        if len(models) != 1 or len(meas_list) != 1 or half_split:
-            raise DimensionMismatch("the tensor-grid oracle handles a single study")
-        return [[tensor_grid_oracle(models[0], expansion, meas_list[0], budget.count)]]
-
     base = models[0]
-    kdims = {m.observation_dim for m in models}
-    if len(kdims) != 1:
+    if len({m.observation_dim for m in models}) != 1:
         raise DimensionMismatch("models in one sweep must share the observation map")
 
     acc = [
         [_MomentAccumulator(m.prediction_dim, second_moment) for _ in meas_list]
         for m in models
     ]
-    half_acc = None
-    if half_split:
-        half_acc = [
-            [_MomentAccumulator(m.prediction_dim, second_moment) for _ in meas_list]
-            for m in models
-        ]
-
-    for native, half_mask in _native_batches(expansion, budget):
+    half = [[None] * len(meas_list) for _ in models]
+    half_rows = _first_half_rows(budget) if half_split else None
+    done = 0
+    for native, logw_sampling in _sample_stream(expansion, budget):
         xs = expansion.realize_batch(native)
         states = base.solve_state_batch(xs)
         q = base.observe_state_batch(states)
-        logw = [_misfit_logweights(q, meas) for meas in meas_list]
+        logw = [logw_sampling + _misfit_logweights(q, meas) for meas in meas_list]
+        for lw in logw:
+            bad = np.flatnonzero(~(lw < np.inf))
+            if bad.size:
+                raise DegenerateWeights(
+                    f"log-weight {lw[bad[0]]} at sample {done + bad[0]} "
+                    f"({bad.size} non-finite in its block)"
+                )
+        # The half estimate is the running state where the first half ends.
+        # add() rebinds its sums, so a shallow copy is an independent snapshot.
+        lead = 0
+        if half_rows is not None and done < half_rows <= done + len(native):
+            lead = half_rows - done
+            half = [[copy.copy(a) for a in row] for row in acc]
         for i, model in enumerate(models):
             r = model.predict_state_batch(states)
             for j in range(len(meas_list)):
+                if lead:
+                    half[i][j].add(logw[j][:lead], r[:lead])
                 acc[i][j].add(logw[j], r)
-                if half_acc is not None and half_mask.any():
-                    half_acc[i][j].add(logw[j][half_mask], r[half_mask])
+        done += len(native)
 
-    def collect(grid):
+    def result(a):
+        if a is None:
+            return None
         if second_moment:
-            return [
-                [a.moments(expansion.centered, budget.source) for a in row]
-                for row in grid
-            ]
-        return [[a.mean() for a in row] for row in grid]
+            return a.moments(expansion.centered, budget.source)
+        return a.mean()
 
+    full = [[result(a) for a in row] for row in acc]
     if half_split:
-        return collect(acc), collect(half_acc)
-    return collect(acc)
+        return full, [[result(a) for a in row] for row in half]
+    return full
 
 
 def estimate_posterior(
@@ -275,8 +267,7 @@ def estimate_posterior(
     budget: SampleBudget,
 ) -> PosteriorMoments:
     """Self-normalized posterior moments of one prediction map."""
-    grid = estimate_posterior_sweep([model], expansion, [meas], budget)
-    return grid[0][0]
+    return estimate_posterior_sweep([model], expansion, [meas], budget)[0][0]
 
 
 def tensor_grid_oracle(
@@ -290,11 +281,5 @@ def tensor_grid_oracle(
     Gauss-Legendre nodes cover uniform coefficient laws, probabilists'
     Gauss-Hermite nodes cover standard-normal ones.
     """
-    acc = _MomentAccumulator(model.prediction_dim, second_moment=True)
-    for native, logw_quad in _quadrature_batches(expansion, nodes_per_dim):
-        xs = expansion.realize_batch(native)
-        states = model.solve_state_batch(xs)
-        q = model.observe_state_batch(states)
-        r = model.predict_state_batch(states)
-        acc.add(logw_quad + _misfit_logweights(q, meas), r)
-    return acc.moments(expansion.centered, "quadrature")
+    budget = SampleBudget("tensor-grid", nodes_per_dim)
+    return estimate_posterior(model, expansion, meas, budget)

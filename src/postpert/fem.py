@@ -165,9 +165,3 @@ def point_eval_matrix(mesh: TriangularMesh, points) -> np.ndarray:
         t = hits[0]
         out[r, mesh.triangles[t]] = (lam0[t], lam1[t], lam2[t])
     return out
-
-
-def interpolate_nodal(src: TriangularMesh, dst_points, nodal_values) -> np.ndarray:
-    """P1 interpolation of nodal fields onto arbitrary points."""
-    e = point_eval_matrix(src, dst_points)
-    return np.asarray(nodal_values) @ e.T

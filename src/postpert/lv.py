@@ -129,13 +129,19 @@ def integrate_derivative_many(base: Trajectory, modes: np.ndarray) -> np.ndarray
     out[:, 0, 0] = 0.0
     out[:, 1, 0] = 0.0
 
+    # Jacobian entries and forcing rows for every grid index, formed once:
+    # the five corrector sweeps of a step all evaluate at its end point.
+    a11 = (GROWTH + base.xi - PREDATION * base.y2).tolist()
+    a12 = (-PREDATION * base.y1).tolist()
+    a21 = (CONVERSION * base.y2).tolist()
+    a22 = (CONVERSION * base.y1 - DECAY).tolist()
+    g1 = np.ascontiguousarray((modes * base.y1).T)
+
     def apply(tidx, w1, w2):
-        a11 = GROWTH + base.xi[tidx] - PREDATION * base.y2[tidx]
-        a12 = -PREDATION * base.y1[tidx]
-        a21 = CONVERSION * base.y2[tidx]
-        a22 = CONVERSION * base.y1[tidx] - DECAY
-        g1 = modes[:, tidx] * base.y1[tidx]
-        return a11 * w1 + a12 * w2 + g1, a21 * w1 + a22 * w2
+        return (
+            a11[tidx] * w1 + a12[tidx] * w2 + g1[tidx],
+            a21[tidx] * w1 + a22[tidx] * w2,
+        )
 
     for n in range(n_steps):
         f1, f2 = apply(n, v1, v2)

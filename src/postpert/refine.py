@@ -94,7 +94,6 @@ def run_refinement(
     max_iterations: int = 100,
     step_scale: float = 1.0,
     stop_tol: float = 1e-12,
-    backtracking: bool = False,
 ):
     """Drive refine_step from the expansion's own reference point.
 
@@ -105,10 +104,9 @@ def run_refinement(
     """
     state = RefineState.initial(expansion.n_modes)
     bound = None
-    step = float(step_scale)
     for _ in range(max_iterations):
         try:
-            state = refine_step(state, model, expansion, meas, step, bound)
+            state = refine_step(state, model, expansion, meas, step_scale, bound)
         except Diverged:
             raise
         except PostpertError as exc:
@@ -120,9 +118,6 @@ def run_refinement(
             ) from exc
         if bound is None and state.update_history[0] > 0.0:
             bound = _BLOWUP_FACTOR * state.update_history[0]
-        if backtracking and len(state.update_history) >= 2:
-            if state.update_history[-1] > state.update_history[-2]:
-                step *= 0.5
         if state.update_history[-1] <= stop_tol:
             break
     return state.reference_point(expansion), state

@@ -172,6 +172,40 @@ def lv_march(xi, sweeps, y_init=(20.0, 20.0)):
     return np.array(y1), np.array(y2), None
 
 
+
+def lv_variational_march(y1, y2, xi, direction, sweeps):
+    """Derivative of lv_march's populations along one direction, by a plain-float loop.
+
+    The same predictor and `sweeps` corrector sweeps are applied to the
+    variational system about the base populations (y1, y2) on the path xi,
+
+        v1' = (7.5 + xi - 0.075 y2) v1 - 0.075 y1 v2 + direction y1,
+        v2' = 0.15 y2 v1 + (0.15 y1 - 7.5) v2,
+
+    with every coefficient formed afresh at each evaluation.  Returns
+    (v1, v2) at every grid index.
+    """
+    y1, y2, xi, d = ([float(v) for v in arr] for arr in (y1, y2, xi, direction))
+    h = 1.0 / (len(xi) - 1)
+
+    def rates(t, w1, w2):
+        return (
+            (7.5 + xi[t] - 0.075 * y2[t]) * w1 + (-0.075 * y1[t]) * w2 + d[t] * y1[t],
+            (0.15 * y2[t]) * w1 + (0.15 * y1[t] - 7.5) * w2,
+        )
+
+    v1, v2 = [0.0], [0.0]
+    for n in range(len(xi) - 1):
+        p, q = v1[-1], v2[-1]
+        f1, f2 = rates(n, p, q)
+        a, b = p + h * f1, q + h * f2
+        for _ in range(sweeps):
+            f1, f2 = rates(n + 1, a, b)
+            a, b = p + h * f1, q + h * f2
+        v1.append(a)
+        v2.append(b)
+    return np.array(v1), np.array(v2)
+
 def _back_sub(upper, b):
     x = np.array(b, dtype=float)
     for i in range(upper.shape[0] - 1, -1, -1):

@@ -12,8 +12,13 @@ from postpert.cli import (
     main,
     make_config,
 )
+from postpert.darcy import build_darcy
 from postpert.errors import IoFailure, PostpertError
+from postpert.estimators import tensor_grid_oracle
+from postpert.expansion import expand_posterior_moments
 from postpert.lv import OBSERVED_DATA
+from postpert.model_api import evaluate_at, generate_data
+from postpert.refine import run_refinement
 
 
 def _read_csv(path):
@@ -86,6 +91,7 @@ class TestConfigValidation:
             {"mesh_level": 0},
             {"kle_tol": 0.0},
             {"prediction": "r3"},
+            {"seed": -1},
         ],
     )
     def test_rejected_settings(self, overrides):
@@ -206,6 +212,76 @@ class TestConvergeCommand:
         code = main(["converge", "--config", str(cfg)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["converge", "--model", "lotka-volterra", "--reference", "mc", "--seed", "-1"],
+            ["generate-data", "--seed", "-3"],
+        ],
+    )
+    def test_negative_seed_exits_with_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: seed")
+        assert not out.exists()
+
+
+# A three-mode Darcy study small enough for a tensor-grid reference.
+_QUAD_ALPHAS = (0.25, 0.125)
+_QUAD_NODES = 6
+
+
+def _quadrature_args(command, out):
+    return [
+        command, "--model", "darcy", "--mesh-level", "2", "--kle-tol", "0.3",
+        "--alphas", ",".join(map(str, _QUAD_ALPHAS)), "--reference", "quadrature",
+        "--samples", str(_QUAD_NODES), "--seed", "3", "--iterations", "20",
+        "--output", str(out),
+    ]
+
+
+class TestQuadratureReference:
+    """The CLI's quadrature rows carry the library's numbers exactly."""
+
+    def test_converge_matches_library(self, tmp_path):
+        out = tmp_path / "quad.csv"
+        assert main(_quadrature_args("converge", out)) == 0
+        model, expansion = build_darcy(2, kle_tol=0.3, prediction="r2")
+        assert expansion.n_modes == 3
+        meas = generate_data(model, expansion.with_alpha(1.0), 3)
+        evals = evaluate_at(model, expansion)
+        want = {}
+        for alpha in _QUAD_ALPHAS:
+            got = expand_posterior_moments(evals, meas, expansion.laws, alpha)
+            ref = tensor_grid_oracle(model, expansion.with_alpha(alpha), meas, _QUAD_NODES)
+            want[(alpha, "mean")] = model.field_error_norm(got.mean - ref.mean)
+            for name in ("correlation", "covariance"):
+                want[(alpha, name)] = model.tensor_error_norm(
+                    getattr(got, name) - getattr(ref, name)
+                )
+        rows = _read_csv(out)[1:]
+        assert len(rows) == 6
+        for r in rows:
+            assert float(r[3]) == want[(float(r[0]), r[1])]
+            assert math.isnan(float(r[4]))  # the grid has no half split
+            assert r[5] == "quadrature" and r[7] == "ok"
+
+    def test_refine_matches_library(self, tmp_path):
+        out = tmp_path / "quad.csv"
+        assert main(_quadrature_args("refine", out)) == 0
+        model, expansion = build_darcy(2, kle_tol=0.3, prediction="r1")
+        meas = generate_data(model, expansion.with_alpha(1.0), 3)
+        finals = _read_csv(tmp_path / "quad-final.csv")[1:]
+        assert [float(r[0]) for r in finals] == list(_QUAD_ALPHAS)
+        for alpha, r in zip(_QUAD_ALPHAS, finals):
+            scaled = expansion.with_alpha(alpha)
+            refined, state = run_refinement(model, scaled, meas, 20)
+            ref = tensor_grid_oracle(model, scaled, meas, _QUAD_NODES)
+            assert int(r[1]) == len(state.update_history)
+            assert float(r[3]) == model.field_error_norm(refined - ref.mean)
+            assert r[5] == "quadrature" and r[7] == "ok"
 
 
 class TestRefineCommand:

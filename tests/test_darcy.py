@@ -183,11 +183,6 @@ class TestKleBasis:
         gram = basis.eigenfields @ assemble_mass(mesh_level_3) @ basis.eigenfields.T
         np.testing.assert_allclose(gram, np.eye(len(lam)), atol=1e-8)
 
-    def test_fine_assembly_interpolates_to_coarse_mesh(self, mesh_level_2):
-        basis = build_darcy_kle(mesh_level_2, 1e-3, kle_level=3)
-        assert basis.retained == 22
-        assert basis.eigenfields.shape == (22, mesh_level_2.n_nodes)
-
 
 class TestDarcyModel:
     def test_prediction_wiring(self, mesh_level_2):

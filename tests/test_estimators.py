@@ -1,13 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from postpert.errors import CostGuard, DegenerateWeights, DimensionMismatch
 from postpert.estimators import (
     SampleBudget,
+    _sample_stream,
     estimate_posterior,
     estimate_posterior_sweep,
     first_primes,
-    halton_point,
     tensor_grid_oracle,
 )
 from postpert.linalg import SpdMatrix
@@ -20,15 +22,19 @@ from oracles import conjugate_posterior_1d, laplace_importance_mean
 TOY_DATA = np.array([0.25, -0.05])
 
 
-def _toy_setup(alpha):
+def _toy_setup(alpha, normal=False):
     model = PolynomialToyModel()
+    if normal:
+        laws = (CoefficientLaw.standard_normal(), CoefficientLaw.standard_normal())
+    else:
+        laws = (
+            CoefficientLaw.uniform_shifted(1.0, 0.3),
+            CoefficientLaw.uniform_shifted(1.0, -0.2),
+        )
     expansion = AffineExpansion(
         x0=np.array([0.2, -0.1]),
         modes=np.array([[1.0, 0.3], [-0.2, 0.8]]),
-        laws=(
-            CoefficientLaw.uniform_shifted(1.0, 0.3),
-            CoefficientLaw.uniform_shifted(1.0, -0.2),
-        ),
+        laws=laws,
         alpha=alpha,
     )
     meas = MeasurementSetup(data=TOY_DATA, sigma=model.noise_covariance())
@@ -46,23 +52,35 @@ class TestSampleBudget:
             SampleBudget("bootstrap", 10)
         with pytest.raises(DimensionMismatch):
             SampleBudget("halton", 1)
+        with pytest.raises(DimensionMismatch, match="seed"):
+            SampleBudget("antithetic-mc", 10, seed=-1)
+
+
+def _halton_units(count, dim):
+    """Halton points 1..count of the stream, mapped back from [-1, 1) to [0, 1)."""
+    expansion = AffineExpansion(
+        x0=np.zeros(dim),
+        modes=np.eye(dim),
+        laws=tuple(CoefficientLaw.uniform_symmetric(1.0) for _ in range(dim)),
+    )
+    blocks = list(_sample_stream(expansion, SampleBudget("halton", count)))
+    assert all(logw == 0.0 for _, logw in blocks)
+    return (np.vstack([native for native, _ in blocks]) + 1.0) / 2.0
 
 
 class TestHaltonPoints:
     def test_radical_inverse_values(self):
-        assert halton_point(1, 1)[0] == pytest.approx(0.5)
-        assert halton_point(3, 1)[0] == pytest.approx(0.75)
-        assert halton_point(2, 2)[1] == pytest.approx(2.0 / 3.0)
-
-    def test_zero_index_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            halton_point(0, 2)
+        u = _halton_units(3, 2)
+        assert u[0, 0] == pytest.approx(0.5)
+        assert u[2, 0] == pytest.approx(0.75)
+        assert u[1, 1] == pytest.approx(2.0 / 3.0)
 
     def test_first_primes(self):
         assert first_primes(6).tolist() == [2, 3, 5, 7, 11, 13]
 
     def test_points_fill_unit_cube(self):
-        pts = np.array([halton_point(i, 3) for i in range(1, 200)])
+        pts = _halton_units(199, 3)
+        assert pts.shape == (199, 3)
         assert pts.min() >= 0.0 and pts.max() < 1.0
         assert np.abs(pts.mean(axis=0) - 0.5).max() < 0.02
 
@@ -159,13 +177,59 @@ class TestSweep:
         assert not np.allclose(grid[0][0].mean, grid[0][1].mean)
 
     def test_half_split_equals_direct_half_run(self):
+        """The half estimate is the run over the first half of the budget, for
+        every first half that ends inside a block or on a block boundary."""
+        cases = [
+            # Halton halves end inside block 1, on the block 1/2 boundary and
+            # inside block 2; antithetic halves inside block 1, on the block 2/3
+            # boundary and inside block 3 (blocks hold 4096 rows).
+            ("halton", 999),
+            ("halton", 8192),
+            ("halton", 9000),
+            ("antithetic-mc", 999),
+            ("antithetic-mc", 8192),
+            ("antithetic-mc", 9000),
+        ]
+        for (kind, count), second_moment in itertools.product(cases, (True, False)):
+            case = f"{kind} {count} second_moment={second_moment}"
+            model, expansion, meas = _toy_setup(alpha=0.25, normal=kind == "antithetic-mc")
+
+            def run(n, **split):
+                return estimate_posterior_sweep(
+                    [model], expansion, [meas], SampleBudget(kind, n, seed=4),
+                    second_moment=second_moment, **split,
+                )
+
+            full, half = run(count, half_split=True)
+            pairs = [(half, run((count + 1) // 2)), (full, run(count))]
+            for got, want in pairs:
+                if second_moment:
+                    for name in ("mean", "correlation", "covariance"):
+                        assert np.array_equal(
+                            getattr(got[0][0], name), getattr(want[0][0], name)
+                        ), case
+                else:
+                    assert np.array_equal(got[0][0], want[0][0]), case
+
+    def test_tensor_grid_sweep_equals_per_study_oracles(self):
         model, expansion, meas = _toy_setup(alpha=0.25)
-        _, half = estimate_posterior_sweep(
-            [model], expansion, [meas], SampleBudget("halton", 1000), half_split=True
+        models = [model, _StatePredictionToy()]
+        inflated = MeasurementSetup(
+            data=meas.data, sigma=SpdMatrix(4.0 * meas.sigma.entries)
         )
-        direct = estimate_posterior(model, expansion, meas, SampleBudget("halton", 500))
-        assert np.array_equal(half[0][0].mean, direct.mean)
-        assert np.array_equal(half[0][0].correlation, direct.correlation)
+        budget = SampleBudget("tensor-grid", 24)
+        grid, half = estimate_posterior_sweep(
+            models, expansion, [meas, inflated], budget, half_split=True
+        )
+        assert half == [[None, None], [None, None]]
+        for i, m in enumerate(models):
+            for j, setup in enumerate((meas, inflated)):
+                want = tensor_grid_oracle(m, expansion, setup, 24)
+                for name in ("mean", "correlation", "covariance"):
+                    assert np.array_equal(getattr(grid[i][j], name), getattr(want, name))
+                assert grid[i][j].source == "quadrature"
+        assert not np.allclose(grid[0][0].mean, grid[1][0].mean)
+        assert not np.allclose(grid[0][0].mean, grid[0][1].mean)
 
     def test_mean_only_mode(self):
         model, expansion, meas = _toy_setup(alpha=0.25)
@@ -175,6 +239,13 @@ class TestSweep:
         )
         assert isinstance(grid[0][0], np.ndarray)
         assert grid[0][0].shape == (2,)
+
+
+class _StatePredictionToy(PolynomialToyModel):
+    """The polynomial toy's solve and observation maps, predicting the parameter."""
+
+    def predict_state_batch(self, states):
+        return np.array(states, dtype=float)
 
 
 class _CubicModel(ForwardModel):
@@ -210,6 +281,37 @@ class _CubicModel(ForwardModel):
 
     def noise_covariance(self):
         return SpdMatrix(np.eye(1))
+
+
+class _NanFirstObservation(_CubicModel):
+    """The cubic model whose very first sample observes NaN."""
+
+    def __init__(self):
+        super().__init__()
+        self._observed = 0
+
+    def observe_state_batch(self, states):
+        q = super().observe_state_batch(states)
+        if self._observed == 0:
+            q[0] = np.nan
+        self._observed += len(states)
+        return q
+
+
+class TestNonFiniteWeights:
+    @pytest.mark.parametrize("kind, count", [("halton", 5000), ("tensor-grid", 8)])
+    def test_nan_in_first_sample_is_reported(self, kind, count):
+        """A NaN log-weight must not drop its block and leave the next one
+        to stand for the whole budget."""
+        model = _NanFirstObservation()
+        expansion = AffineExpansion(
+            x0=np.zeros(1),
+            modes=np.ones((1, 1)),
+            laws=(CoefficientLaw.uniform_symmetric(1.0),),
+        )
+        meas = MeasurementSetup(data=np.zeros(1), sigma=SpdMatrix(np.eye(1)))
+        with pytest.raises(DegenerateWeights, match=r"log-weight nan at sample 0"):
+            estimate_posterior(model, expansion, meas, SampleBudget(kind, count))
 
 
 class TestTensorGrid:

@@ -6,7 +6,6 @@ from postpert.fem import (
     assemble_mass,
     assemble_weighted_stiffness,
     build_unit_square_mesh,
-    interpolate_nodal,
     load_vector,
     point_eval_matrix,
 )
@@ -96,20 +95,3 @@ class TestPointEvaluation:
     def test_outside_point_rejected(self, mesh_level_2):
         with pytest.raises(PointOutsideMesh):
             point_eval_matrix(mesh_level_2, np.array([[1.5, 0.5]]))
-
-
-class TestInterpolation:
-    def test_roundtrip_on_same_mesh(self, mesh_level_2):
-        mesh = mesh_level_2
-        rng = np.random.default_rng(11)
-        vals = rng.normal(size=(3, mesh.n_nodes))
-        got = interpolate_nodal(mesh, mesh.nodes, vals)
-        assert np.allclose(got, vals, rtol=0, atol=1e-13)
-
-    def test_coarse_to_fine_preserves_linears(self):
-        coarse = build_unit_square_mesh(1)
-        fine = build_unit_square_mesh(3)
-        vals = coarse.nodes[:, 0] + 3.0 * coarse.nodes[:, 1]
-        got = interpolate_nodal(coarse, fine.nodes, vals[None, :])[0]
-        want = fine.nodes[:, 0] + 3.0 * fine.nodes[:, 1]
-        assert np.allclose(got, want, rtol=0, atol=1e-13)

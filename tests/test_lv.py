@@ -20,7 +20,7 @@ from postpert.lv import (
 )
 from postpert.model_api import evaluate_at
 
-from oracles import lv_march, predator_prey_invariant
+from oracles import lv_march, lv_variational_march, predator_prey_invariant
 
 
 class TestTimeGrid:
@@ -127,6 +127,19 @@ class TestVariationalSolves:
         stacked = integrate_derivative_many(base, expansion.modes)
         for m, mode in enumerate(expansion.modes):
             np.testing.assert_array_equal(stacked[m], integrate_derivative_many(base, mode[None])[0])
+
+    def test_matches_plain_loop_oracle_bitwise(self):
+        """Coefficients formed once per grid index give the same bits as
+        forming them at every evaluation."""
+        rng = np.random.default_rng(23)
+        xi = np.cumsum(rng.normal(scale=0.3, size=201))
+        _, expansion = build_lotka_volterra(n_modes=3, n_steps=200)
+        base = integrate(xi)
+        got = integrate_derivative_many(base, expansion.modes)
+        for m, mode in enumerate(expansion.modes):
+            v1, v2 = lv_variational_march(base.y1, base.y2, xi, mode, CORRECTOR_SWEEPS)
+            np.testing.assert_array_equal(got[m, 0], v1)
+            np.testing.assert_array_equal(got[m, 1], v2)
 
     def test_direction_grid_must_match_base(self):
         base = integrate(np.zeros(201))

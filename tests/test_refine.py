@@ -86,12 +86,6 @@ class TestScalarConvergence:
         assert state.update_history == [0.0]
         assert np.array_equal(refined, expansion.x0)
 
-    def test_backtracking_inactive_on_monotone_run(self):
-        model, expansion, meas = _scalar_setup()
-        _, plain = run_refinement(model, expansion, meas)
-        _, tracked = run_refinement(model, expansion, meas, backtracking=True)
-        assert tracked.update_history == plain.update_history
-
 
 class TestTikhonovGradient:
     def test_vanishes_at_the_fixed_point(self):
