@@ -173,11 +173,22 @@ def _sample_stream(expansion: AffineExpansion, budget: SampleBudget):
             raise CostGuard("tensor grid would exceed the point budget")
 
         def rule(kind):
-            if kind == "standard-normal":
-                x, w = np.polynomial.hermite_e.hermegauss(n)
-                return x, np.log(w) - 0.5 * np.log(2.0 * np.pi)
-            x, w = np.polynomial.legendre.leggauss(n)
-            return x, np.log(0.5 * w)
+            # numpy's Hermite rule overflows quietly past a few hundred nodes
+            # (NaN weights from n = 400), so a rule is checked before use; a
+            # finite log-weight means a finite, positive weight
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                if kind == "standard-normal":
+                    x, w = np.polynomial.hermite_e.hermegauss(n)
+                    logw = np.log(w) - 0.5 * np.log(2.0 * np.pi)
+                else:
+                    x, w = np.polynomial.legendre.leggauss(n)
+                    logw = np.log(0.5 * w)
+            if not (np.isfinite(x).all() and np.isfinite(logw).all()):
+                raise CostGuard(
+                    f"the {n}-node Gauss rule for {kind} laws has non-finite nodes "
+                    "or weights that are not finite and positive"
+                )
+            return x, logw
 
         axes, logws = zip(*(rule(law.kind) for law in expansion.laws))
         native = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])

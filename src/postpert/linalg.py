@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import ConvergenceFailure, DimensionMismatch, EmptyBasis, NotSpd
+from .errors import ConvergenceFailure, DimensionMismatch, EmptyBasis, NotSpd, SolverFailure
 
 # Relative asymmetry tolerated before a matrix is rejected outright.
 _SYM_RTOL = 1e-12
@@ -60,15 +60,20 @@ class SpdMatrix:
         return self._lower
 
     def solve(self, rhs):
-        """Solve entries @ x = rhs for one right-hand side or a stack of them."""
+        """Solve entries @ x = rhs for one right-hand side or a stack of them.
+
+        A non-finite right-hand side raises SolverFailure.
+        """
         b = np.asarray(rhs, dtype=float)
         if b.shape[0] != self.n:
             raise DimensionMismatch(
                 f"rhs has leading dimension {b.shape[0]}, matrix is {self.n}x{self.n}"
             )
+        if not np.isfinite(b).all():
+            raise SolverFailure("right-hand side has non-finite entries")
         L = self.factor
-        y = solve_triangular(L, b, lower=True)
-        return solve_triangular(L.T, y, lower=False)
+        y = solve_triangular(L, b, lower=True, check_finite=False)
+        return solve_triangular(L.T, y, lower=False, check_finite=False)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SpdMatrix(n={self.n})"

@@ -7,11 +7,12 @@ The populations solve
 
 where the perturbation path xi is the model parameter.  Time stepping is an
 explicit Euler predictor followed by a fixed number of implicit-Euler
-fixed-point sweeps; the associated variational (linearized) system is
-integrated with the same scheme, with coefficients frozen at the stored base
-trajectory, so derivative solves are exact derivatives of the discrete map
-up to the tiny sweep-truncation residual.  Observations are both populations
-at t = 1/4, 1/2, 3/4, 1.
+fixed-point sweeps, run by one batch kernel over a (2, B) state of prey and
+predator rows; a single path is a batch of one.  The associated variational
+(linearized) system is integrated with the same scheme, with coefficients
+frozen at the stored base trajectory, so derivative solves are exact
+derivatives of the discrete map up to the tiny sweep-truncation residual.
+Observations are both populations at t = 1/4, 1/2, 3/4, 1.
 """
 
 from __future__ import annotations
@@ -60,54 +61,63 @@ class Trajectory:
 
 
 def _march(xi, record, y_init=INITIAL_STATE):
-    """The nonlinear predictor-corrector march, for one path or a batch.
+    """The nonlinear predictor-corrector march for a batch of paths.
 
-    xi is one path (n+1,) or a batch of paths (B, n+1).  Returns y1 and y2 at
-    the grid indices in record, each shaped (len(record),) or
-    (B, len(record)).  One path is marched in Python floats and a batch one
-    column of B values at a time; both run the same arithmetic.  The growth
-    rate of the step's end point, the only forcing the corrector sees, is
-    formed once per step and carried over as the next step's start.
+    xi is a batch of paths (B, n+1).  Returns y1 and y2 at the grid indices
+    in record, each shaped (B, len(record)).  The state is one (2, B) array
+    of prey and predator rows, and each rate is written in factored form
+    y * (k0 + k1 * other) with the step size folded into k0 and k1, so the
+    predictor and every corrector sweep are four in-place ufuncs on
+    preallocated (2, B) buffers.  The growth row of a step's end point, the
+    only forcing the corrector sees, is formed once per step from the
+    column xi[:, n+1] and carried over as the next step's start; no
+    transposed copy of xi is made.
     """
-    batch = xi.ndim == 2
-    n_steps = xi.shape[-1] - 1
+    batch, n_steps = xi.shape[0], xi.shape[1] - 1
     h = 1.0 / n_steps
-    if batch:
-        cols, nonpositive = xi.T, np.any
-        y1, y2 = (np.full(len(xi), float(v)) for v in y_init)
-    else:
-        cols, nonpositive = xi.tolist(), bool
-        y1, y2 = (float(v) for v in y_init)
     slot = {int(i): k for k, i in enumerate(record)}
-    y1_out = np.empty(xi.shape[:-1] + (len(slot),))
-    y2_out = np.empty_like(y1_out)
+    out = np.empty((2, batch, len(slot)))
+    y = np.empty((2, batch))
+    y[0], y[1] = y_init
     if 0 in slot:
-        y1_out[..., slot[0]], y2_out[..., slot[0]] = y1, y2
-    g_next = GROWTH + cols[0]
+        out[:, :, slot[0]] = y
+    k1 = np.array([[-h * PREDATION], [h * CONVERSION]])
+    k_now, k_next = np.empty((2, 2, batch))
+    k_now[1] = k_next[1] = -h * DECAY
+    np.add(GROWTH, xi[:, 0], out=k_now[0])
+    k_now[0] *= h
+    s, f = np.empty((2, 2, batch))
     for n in range(n_steps):
-        g, g_next = g_next, GROWTH + cols[n + 1]
-        a = y1 + h * (g * y1 - PREDATION * y1 * y2)
-        b = y2 + h * (CONVERSION * y1 * y2 - DECAY * y2)
+        np.add(GROWTH, xi[:, n + 1], out=k_next[0])
+        k_next[0] *= h
+        np.multiply(k1, y[::-1], out=s)
+        s += k_now
+        s *= y
+        s += y
         for _ in range(CORRECTOR_SWEEPS):
-            a, b = (
-                y1 + h * (g_next * a - PREDATION * a * b),
-                y2 + h * (CONVERSION * a * b - DECAY * b),
-            )
-        if nonpositive((a <= 0.0) | (b <= 0.0)):
+            np.multiply(k1, s[::-1], out=f)
+            f += k_next
+            f *= s
+            f += y
+            s, f = f, s
+        # fmin skips NaN, so a NaN path is not flagged and cannot hide a
+        # collapsed one in the same batch
+        if np.fmin.reduce(s, axis=None) <= 0.0:
             raise NonPositiveState(f"a population left the positive quadrant at step {n + 1}")
-        y1, y2 = a, b
-        k = slot.get(n + 1)
-        if k is not None:
-            y1_out[..., k], y2_out[..., k] = y1, y2
-    return y1_out, y2_out
+        y, s = s, y
+        k_now, k_next = k_next, k_now
+        j = slot.get(n + 1)
+        if j is not None:
+            out[:, :, j] = y
+    return out[0], out[1]
 
 
 def integrate(xi, y_init=INITIAL_STATE) -> Trajectory:
     """March the nonlinear system across the grid defined by the path xi."""
     xi = np.asarray(xi, dtype=float)
     tgrid = lv_time_grid(len(xi) - 1)
-    y1, y2 = _march(xi, range(len(tgrid)), y_init)
-    return Trajectory(tgrid, y1, y2, xi)
+    y1, y2 = _march(xi[None], range(len(tgrid)), y_init)
+    return Trajectory(tgrid, y1[0], y2[0], xi)
 
 
 def integrate_derivative_many(base: Trajectory, modes: np.ndarray) -> np.ndarray:

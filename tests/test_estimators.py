@@ -359,6 +359,25 @@ class TestTensorGrid:
         with pytest.raises(CostGuard):
             tensor_grid_oracle(model, expansion, meas, 4)
 
+    def test_gauss_rule_must_be_finite(self):
+        """numpy's Hermite rule has NaN weights at 400 nodes; the grid refuses
+        it by name before any solve, and 200 nodes still run."""
+        model = ConjugateGaussianModel(0.0, 1.0, 1.0)
+        expansion = AffineExpansion(
+            x0=np.zeros(1),
+            modes=np.ones((1, 1)),
+            laws=(CoefficientLaw.standard_normal(),),
+            alpha=0.1,
+        )
+        meas = MeasurementSetup(data=np.array([0.1]), sigma=model.noise_covariance())
+        with pytest.raises(CostGuard, match=r"400-node Gauss rule for standard-normal"):
+            tensor_grid_oracle(model, expansion, meas, 400)
+        assert model.solve_count == 0
+        got = tensor_grid_oracle(model, expansion, meas, 200)
+        assert model.solve_count == 200
+        mean, _ = conjugate_posterior_1d(0.0, 1.0, 0.01, 1.0, 0.1)
+        assert abs(got.mean[0] - mean) < 1e-10
+
     def test_minimum_node_count(self):
         model, expansion, meas = _toy_setup(alpha=0.25)
         with pytest.raises(DimensionMismatch):

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postpert.errors import DimensionMismatch
+from postpert.errors import DimensionMismatch, SolverFailure
 from postpert.estimators import tensor_grid_oracle
 from postpert.expansion import PosteriorMoments, expand_posterior_moments
 from postpert.linalg import SpdMatrix
-from postpert.model_api import MeasurementSetup, ModelEvaluations, evaluate_at
+from postpert.model_api import MeasurementSetup, ModelEvaluations, data_coupling, evaluate_at
 from postpert.prior import AffineExpansion, CoefficientLaw
+from postpert.refine import run_refinement
 from postpert.toy import ConjugateGaussianModel
 
 from oracles import conjugate_posterior_1d, expansion_moments
@@ -52,6 +53,23 @@ class TestDegenerateInputs:
         meas = MeasurementSetup(data=np.zeros(2), sigma=SpdMatrix(np.eye(2)))
         got = expand_posterior_moments(ev, meas, _uniform_laws(2), alpha=0.3).covariance
         assert np.allclose(got, 0.0)
+
+    def test_non_finite_observation_is_a_solver_failure(self):
+        """A model that observes NaN at the reference point stops the data
+        coupling with a package error, before any moment is formed."""
+        meas = MeasurementSetup(data=np.zeros(2), sigma=SpdMatrix(np.eye(2)))
+        with pytest.raises(SolverFailure, match="non-finite"):
+            data_coupling(meas, [np.nan, 0.0], np.eye(2))
+        model = ConjugateGaussianModel(q0=np.nan, q1=2.0, noise_var=1.0)
+        expansion = AffineExpansion(
+            x0=np.zeros(1), modes=np.ones((1, 1)), laws=_uniform_laws(1), alpha=0.3
+        )
+        meas = MeasurementSetup(data=np.zeros(1), sigma=model.noise_covariance())
+        ev = evaluate_at(model, expansion)
+        with pytest.raises(SolverFailure, match="non-finite"):
+            expand_posterior_moments(ev, meas, expansion.laws, alpha=0.3)
+        with pytest.raises(SolverFailure, match="non-finite"):
+            run_refinement(model, expansion, meas)
 
 
 class TestScalarClosedForm:

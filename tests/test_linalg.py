@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from postpert.errors import DimensionMismatch, NotSpd
+from postpert.errors import DimensionMismatch, NotSpd, SolverFailure
 from postpert.fem import assemble_mass, mass_spd
 from postpert.linalg import (
     SpdMatrix,
@@ -34,6 +34,13 @@ class TestCholeskySolve:
     def test_rejects_wrong_shape(self):
         with pytest.raises(DimensionMismatch):
             SpdMatrix(np.eye(2)).solve(np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rhs(self, bad):
+        with pytest.raises(SolverFailure, match="non-finite"):
+            SpdMatrix(np.eye(2)).solve([bad, 0.0])
+        with pytest.raises(SolverFailure, match="non-finite"):
+            SpdMatrix(np.eye(2)).solve(np.array([[1.0, 0.0], [0.0, bad]]))
 
 
 def _sigma_inner(s, u, v):

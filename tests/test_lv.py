@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,42 @@ class TestIntegrator:
             model.solve_state_batch(xs)
         with pytest.raises(NonPositiveState, match=pattern):
             integrate(xs[1])
+
+    def test_batch_rows_equal_paths_marched_alone(self):
+        """The march is elementwise across the batch, so a path's bits do not
+        depend on its batch mates; byte determinism across --threads rests
+        on this."""
+        rng = np.random.default_rng(24)
+        xs = np.cumsum(rng.normal(scale=0.3, size=(7, 201)), axis=1)
+        model = LotkaVolterraModel(n_steps=200)
+        batch = model.solve_state_batch(xs).observed
+        idx = observation_indices(200)
+        for k, x in enumerate(xs):
+            np.testing.assert_array_equal(batch[k], model.solve_state_batch(x[None]).observed[0])
+            traj = integrate(x)
+            np.testing.assert_array_equal(batch[k, 0::2], traj.y1[idx])
+            np.testing.assert_array_equal(batch[k, 1::2], traj.y2[idx])
+
+    def test_nan_path_neither_raises_nor_hides_a_collapse(self):
+        xs = np.zeros((2, 101))
+        xs[0, 0] = np.nan
+        assert np.isnan(LotkaVolterraModel(n_steps=100).solve_state_batch(xs[:1]).observed).all()
+        xs[1] = -1e4
+        with pytest.raises(NonPositiveState):
+            LotkaVolterraModel(n_steps=100).solve_state_batch(xs)
+
+    def test_batch_march_makes_no_full_size_copy(self):
+        """Peak traced memory stays below the size of the input paths, so
+        no (n+1, B) transposed table is built."""
+        model = LotkaVolterraModel(n_steps=1000)
+        xs = np.zeros((512, 1001))
+        tracemalloc.start()
+        try:
+            model.solve_state_batch(xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < xs.nbytes
 
     def test_trajectory_length_validation(self):
         with pytest.raises(DimensionMismatch):
