@@ -8,7 +8,6 @@ from .errors import (
     Diverged,
     EmptyBasis,
     IoFailure,
-    MissingSecondDerivatives,
     NonPositiveState,
     NotSpd,
     PointOutsideMesh,

@@ -31,6 +31,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .expansion import expand_posterior_moments
 from .fem import build_unit_square_mesh
 from .lv import OBSERVED_DATA, build_lotka_volterra, lv_noise_covariance
 from .model_api import MeasurementSetup, evaluate_at, generate_data
-from .refine import run_refinement
+from .refine import STOP_TOL, run_refinement
 
 _MODELS = ("darcy", "lotka-volterra")
 _QUANTITIES = ("mean", "correlation", "covariance")
@@ -49,34 +50,14 @@ _REFERENCES = ("qmc", "mc", "quadrature", "none")
 _TRUE_WORDS = frozenset({"1", "true", "yes", "on"})
 _FALSE_WORDS = frozenset({"0", "false", "no", "off"})
 
-_REPORT_HEADER = (
-    "alpha",
-    "quantity",
-    "norm_name",
-    "error_expansion",
-    "error_reference_est",
-    "reference_kind",
-    "wallclock_seconds",
-    "status",
-)
-_FINAL_HEADER = (
-    "alpha",
-    "iterations_run",
-    "final_update_norm",
-    "final_error",
-    "norm_name",
-    "reference_kind",
-    "wallclock_seconds",
-    "status",
-)
-
 
 @dataclass
 class StudyConfig:
     """Flat bag of study settings; file keys and flag names match fields.
 
-    alphas are stored sorted descending without duplicates, which is also
-    the row order of every emitted report.
+    The type of each default picks how a raw value is coerced.  alphas are
+    stored sorted descending without duplicates, which is also the row order
+    of every emitted report.
     """
 
     model: str = "darcy"
@@ -109,6 +90,8 @@ class StudyConfig:
         bad = [q for q in self.quantities() if q not in _QUANTITIES]
         if bad or not self.quantities():
             raise PostpertError(f"quantity must name any of {_QUANTITIES}, got {self.quantity!r}")
+        if not self.alphas:
+            raise PostpertError("alphas must name at least one scale")
         if any(not (a > 0.0) for a in self.alphas):
             raise PostpertError("alphas must be positive")
         if self.seed < 0:
@@ -159,24 +142,7 @@ def _parse_alphas(value) -> tuple:
     return tuple(sorted(parsed, reverse=True))
 
 
-_COERCERS = {
-    "model": str,
-    "quantity": str,
-    "prediction": str,
-    "reference": str,
-    "output": str,
-    "alphas": _parse_alphas,
-    "centered": _parse_bool,
-    "timing": _parse_bool,
-    "samples": int,
-    "seed": int,
-    "mesh_level": int,
-    "iterations": int,
-    "threads": int,
-    "kle_tol": float,
-    "sigma_scale": float,
-    "step_scale": float,
-}
+_PARSERS = {bool: _parse_bool, tuple: _parse_alphas}
 
 
 def load_config_file(path) -> dict:
@@ -201,12 +167,14 @@ def make_config(file_values: dict, overrides: dict) -> StudyConfig:
     """Merge file settings with explicit overrides (None means unset)."""
     merged = dict(file_values)
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    known = {f.name for f in fields(StudyConfig)}
-    unknown = sorted(set(merged) - known)
+    coercers = {
+        f.name: _PARSERS.get(type(f.default), type(f.default)) for f in fields(StudyConfig)
+    }
+    unknown = sorted(set(merged) - set(coercers))
     if unknown:
         raise PostpertError(f"unknown config keys: {', '.join(unknown)}")
     try:
-        coerced = {k: _COERCERS[k](v) for k, v in merged.items()}
+        coerced = {k: coercers[k](v) for k, v in merged.items()}
     except (ValueError, TypeError) as exc:
         raise PostpertError(f"bad config value: {exc}") from exc
     return StudyConfig(**coerced).validate()
@@ -350,12 +318,12 @@ def run_convergence_study(cfg: StudyConfig) -> list:
                     else model.tensor_norm_name,
                     error_expansion=err,
                     error_reference_est=noise,
-                    reference_kind=budget.source if budget else "none",
+                    reference_kind=cfg.reference,
                     wallclock_seconds=elapsed if cfg.timing else 0.0,
                     status=status,
                 )
             )
-    emit_report(records, cfg.output)
+    _write_records(cfg.output, StudyRecord, records)
     return records
 
 
@@ -366,7 +334,9 @@ def run_refinement_study(cfg: StudyConfig):
     space, so the reference is always the estimated posterior mean of the
     parameter itself.  Histories go to cfg.output, final rows to a sibling
     file with '-final' appended to the stem.  Divergent runs keep their
-    partial history and are flagged, matching the per-row isolation rule.
+    partial history and are flagged, matching the per-row isolation rule;
+    runs whose last update norm is still above STOP_TOL are marked
+    max-iterations.
     """
     cfg = cfg.validate()
     cfg = replace(cfg, prediction="r1" if cfg.model == "darcy" else "identity")
@@ -385,6 +355,8 @@ def run_refinement_study(cfg: StudyConfig):
                 model, scaled, meas, cfg.iterations, cfg.step_scale
             )
             history = list(state.update_history)
+            if history[-1] > STOP_TOL:
+                status = "max-iterations"
         except Diverged as exc:
             status = "diverged"
             if exc.state is not None:
@@ -407,7 +379,7 @@ def run_refinement_study(cfg: StudyConfig):
             final_update_norm=history[-1] if history else math.nan,
             final_error=error,
             norm_name=model.field_norm_name,
-            reference_kind=budget.source if budget else "none",
+            reference_kind=cfg.reference,
             wallclock_seconds=elapsed if cfg.timing else 0.0,
             status=status,
         )
@@ -426,24 +398,7 @@ def run_refinement_study(cfg: StudyConfig):
         ],
         "refinement history",
     )
-    _write_rows(
-        _sibling_path(cfg.output, "-final"),
-        _FINAL_HEADER,
-        [
-            (
-                _fmt(r.alpha),
-                r.iterations_run,
-                _fmt(r.final_update_norm),
-                _fmt(r.final_error),
-                r.norm_name,
-                r.reference_kind,
-                _fmt(r.wallclock_seconds),
-                r.status,
-            )
-            for r in records
-        ],
-        "report",
-    )
+    _write_records(_sibling_path(cfg.output, "-final"), RefinementRecord, records)
     return histories, records
 
 
@@ -469,7 +424,7 @@ def run_kle_dump(cfg: StudyConfig):
         ["mode", "eigenvalue"] + [f"node_{i}" for i in range(basis.eigenfields.shape[1])],
         [
             [k, _fmt(basis.eigenvalues[k])] + [_fmt(v) for v in basis.eigenfields[k]]
-            for k in range(basis.retained)
+            for k in range(len(basis.eigenvalues))
         ],
         "KLE basis",
     )
@@ -501,26 +456,15 @@ def _write_rows(path, header, rows, what: str) -> None:
         raise IoFailure(f"could not write {what} to {path}: {exc}") from exc
 
 
-def emit_report(records, path) -> None:
-    """RFC-4180 style CSV of study records, floats at full precision."""
-    _write_rows(
-        path,
-        _REPORT_HEADER,
-        [
-            (
-                _fmt(r.alpha),
-                r.quantity,
-                r.norm_name,
-                _fmt(r.error_expansion),
-                _fmt(r.error_reference_est),
-                r.reference_kind,
-                _fmt(r.wallclock_seconds),
-                r.status,
-            )
-            for r in records
-        ],
-        "report",
-    )
+def _write_records(path, record_type, records) -> None:
+    """One row per record, columns in field order, float fields through _fmt."""
+    names = [f.name for f in fields(record_type)]
+    hints = get_type_hints(record_type)
+    rows = [
+        [_fmt(getattr(r, n)) if hints[n] is float else getattr(r, n) for n in names]
+        for r in records
+    ]
+    _write_rows(path, names, rows, "report")
 
 
 # -- argument parsing ---------------------------------------------------------

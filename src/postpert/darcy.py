@@ -33,10 +33,10 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 from .errors import DimensionMismatch, SolverFailure
 from .fem import (
     TriangularMesh,
+    assemble_mass,
     build_unit_square_mesh,
     load_vector,
     local_stiffness,
-    mass_spd,
     point_eval_matrix,
 )
 from .linalg import SpdMatrix, field_l2_norm, tensor_l2_norm
@@ -88,7 +88,7 @@ class DarcyProblem:
 
     def __init__(self, mesh: TriangularMesh):
         self.mesh = mesh
-        self.mass = mass_spd(mesh)
+        self.mass = assemble_mass(mesh)
         self.obs_matrix = point_eval_matrix(mesh, OBSERVATION_POINTS)
         self.load = load_vector(mesh)
         self._setup_banded()
@@ -201,10 +201,6 @@ class DarcyModel(ForwardModel):
         self.name = f"darcy-{prediction}"
 
     @property
-    def prediction_affine(self) -> bool:
-        return self.prediction == "r1"
-
-    @property
     def parameter_dim(self) -> int:
         return self.problem.mesh.n_nodes
 
@@ -264,8 +260,8 @@ class DarcyModel(ForwardModel):
         if self.prediction == "r1":
             r0 = ref.copy()
             dr_modes = expansion.modes.copy()
-            d2r_diag = None
-            d2r_meandir = None
+            d2r_diag = np.zeros_like(dr_modes)
+            d2r_meandir = np.zeros_like(r0)
         else:
             r0 = u0
             dr_modes = w1.T.copy()
@@ -289,7 +285,6 @@ class DarcyModel(ForwardModel):
             d2r_diag=d2r_diag,
             d2r_meandir=d2r_meandir,
             reference=ref,
-            prediction_affine=self.prediction_affine,
         )
 
 

@@ -25,10 +25,6 @@ class SingularPrior(PostpertError):
     """A coefficient law has zero variance where positivity is required."""
 
 
-class MissingSecondDerivatives(PostpertError):
-    """Second-derivative data is absent but the prediction is not affine."""
-
-
 class SolverFailure(PostpertError):
     """A model solve failed (non-finite data, factorization breakdown, ...)."""
 

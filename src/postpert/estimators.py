@@ -56,12 +56,6 @@ class SampleBudget:
         if self.seed < 0:
             raise DimensionMismatch("the sample seed must be non-negative")
 
-    @property
-    def source(self) -> str:
-        return {"halton": "qmc", "antithetic-mc": "mc", "tensor-grid": "quadrature"}[
-            self.kind
-        ]
-
 
 def first_primes(k: int) -> np.ndarray:
     """The k smallest primes, by trial division (k stays small here)."""
@@ -115,13 +109,13 @@ class _MomentAccumulator:
             )
         return self.rsum / self.wsum
 
-    def moments(self, centered: bool, source: str) -> PosteriorMoments:
+    def moments(self) -> PosteriorMoments:
         mean = self.mean()
         corr = self.rrsum / self.wsum
         corr = 0.5 * (corr + corr.T)
         cov = corr - np.outer(mean, mean)
         cov = 0.5 * (cov + cov.T)
-        return PosteriorMoments(mean, corr, cov, centered, source)
+        return PosteriorMoments(mean, corr, cov)
 
 
 def _misfit_logweights(q: np.ndarray, meas: MeasurementSetup) -> np.ndarray:
@@ -262,7 +256,7 @@ def estimate_posterior_sweep(
         if a is None:
             return None
         if second_moment:
-            return a.moments(expansion.centered, budget.source)
+            return a.moments()
         return a.mean()
 
     full = [[result(a) for a in row] for row in acc]

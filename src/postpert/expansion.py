@@ -31,8 +31,6 @@ from .errors import DimensionMismatch
 from .model_api import MeasurementSetup, ModelEvaluations, data_coupling
 from .prior import CoefficientLaw
 
-_SOURCES = ("expansion", "qmc", "mc", "quadrature")
-
 
 @dataclass
 class PosteriorMoments:
@@ -41,8 +39,6 @@ class PosteriorMoments:
     mean: np.ndarray
     correlation: np.ndarray
     covariance: np.ndarray
-    centered: bool
-    source: str
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
@@ -51,8 +47,6 @@ class PosteriorMoments:
         z = self.mean.shape[0]
         if self.correlation.shape != (z, z) or self.covariance.shape != (z, z):
             raise DimensionMismatch("moment shapes are inconsistent")
-        if self.source not in _SOURCES:
-            raise DimensionMismatch(f"unknown moment source {self.source!r}")
 
 
 def expand_posterior_moments(
@@ -68,7 +62,7 @@ def expand_posterior_moments(
     s = data_coupling(meas, evals.q0, evals.dq_modes)
 
     m1 = means @ dr
-    m2 = 0.5 * (variances @ evals.second_diag() + evals.second_meandir())
+    m2 = 0.5 * (variances @ evals.d2r_diag + evals.d2r_meandir)
     m2 = m2 + (variances * s) @ dr
     c2 = (variances[:, None] * dr).T @ dr
     c2 = 0.5 * (c2 + c2.T)
@@ -80,6 +74,4 @@ def expand_posterior_moments(
         mean=evals.r0 + alpha * m1 + alpha ** 2 * m2,
         correlation=correlation,
         covariance=covariance,
-        centered=all(law.mean == 0.0 for law in laws),
-        source="expansion",
     )

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, PointOutsideMesh
-from .linalg import SpdMatrix
 
 
 @dataclass
@@ -141,10 +140,6 @@ def load_vector(mesh: TriangularMesh, density: float = 1.0) -> np.ndarray:
     f = np.zeros(mesh.n_nodes)
     np.add.at(f, mesh.triangles.ravel(), np.repeat(mesh.areas / 3.0, 3))
     return density * f
-
-
-def mass_spd(mesh: TriangularMesh) -> SpdMatrix:
-    return SpdMatrix(assemble_mass(mesh))
 
 
 def point_eval_matrix(mesh: TriangularMesh, points) -> np.ndarray:

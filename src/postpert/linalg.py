@@ -79,29 +79,31 @@ class SpdMatrix:
         return f"SpdMatrix(n={self.n})"
 
 
-def field_l2_norm(m: SpdMatrix, coeffs) -> float:
+def field_l2_norm(mass, coeffs) -> float:
     """Norm sqrt(c^T M c) of a nodal field c in the mass inner product."""
+    m = _as_square(mass)
     c = np.asarray(coeffs, dtype=float)
-    if c.shape != (m.n,):
-        raise DimensionMismatch(f"coefficients {c.shape} do not fit mass matrix {m.n}")
+    if c.shape != (m.shape[0],):
+        raise DimensionMismatch(f"coefficients {c.shape} do not fit mass matrix {m.shape}")
     # overflow in huge fields is reported as inf, not as a warning
     with np.errstate(over="ignore"):
-        val = float(c @ m.entries @ c)
+        val = float(c @ m @ c)
     # roundoff can leave a tiny negative value for c ~ 0
     return float(np.sqrt(max(val, 0.0)))
 
 
-def tensor_l2_norm(m: SpdMatrix, k) -> float:
+def tensor_l2_norm(mass, k) -> float:
     """Hilbert-Schmidt norm sqrt(trace(M K M K^T)) of a nodal tensor K.
 
     For K = u v^T this factors into the product of the field norms of u and v.
     """
+    m = _as_square(mass)
     kk = _as_square(k)
-    if kk.shape[0] != m.n:
-        raise DimensionMismatch(f"tensor {kk.shape} does not fit mass matrix {m.n}")
+    if kk.shape != m.shape:
+        raise DimensionMismatch(f"tensor {kk.shape} does not fit mass matrix {m.shape}")
     with np.errstate(over="ignore"):
-        mk = m.entries @ kk
-        km = kk @ m.entries
+        mk = m @ kk
+        km = kk @ m
         val = float(np.sum(mk * km))
     return float(np.sqrt(max(val, 0.0)))
 

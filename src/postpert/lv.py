@@ -195,7 +195,6 @@ class LotkaVolterraModel(ForwardModel):
     """Forward model whose parameter is the perturbation path itself."""
 
     name = "lotka-volterra"
-    prediction_affine = True
 
     def __init__(self, n_steps: int = 1000, sigma_scale: float = 10.0):
         super().__init__()
@@ -260,10 +259,9 @@ class LotkaVolterraModel(ForwardModel):
             dq_modes=dq,
             r0=ref.copy(),
             dr_modes=expansion.modes.copy(),
-            d2r_diag=None,
-            d2r_meandir=None,
+            d2r_diag=np.zeros_like(expansion.modes),
+            d2r_meandir=np.zeros_like(ref),
             reference=ref,
-            prediction_affine=True,
         )
 
 

@@ -10,11 +10,11 @@ sweep reuses a single set of model solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingSecondDerivatives
+from .errors import DimensionMismatch
 from .linalg import SpdMatrix
 from .prior import AffineExpansion
 
@@ -46,52 +46,33 @@ class ModelEvaluations:
     d2r_meandir:  second derivative of R along sum_j E[z_j] mode_j, shape (Z,)
     reference:    the expansion point the solves were taken at
 
-    The second-derivative fields may be None only when the prediction is
-    affine, in which case they are treated as zero.
+    An affine prediction stores zeros for both second-derivative fields.
     """
 
     q0: np.ndarray
     dq_modes: np.ndarray
     r0: np.ndarray
     dr_modes: np.ndarray
-    d2r_diag: np.ndarray | None
-    d2r_meandir: np.ndarray | None
+    d2r_diag: np.ndarray
+    d2r_meandir: np.ndarray
     reference: np.ndarray
-    prediction_affine: bool = False
 
     def __post_init__(self):
-        self.q0 = np.asarray(self.q0, dtype=float)
-        self.dq_modes = np.asarray(self.dq_modes, dtype=float)
-        self.r0 = np.asarray(self.r0, dtype=float)
-        self.dr_modes = np.asarray(self.dr_modes, dtype=float)
-        self.reference = np.asarray(self.reference, dtype=float)
+        for f in fields(self):
+            setattr(self, f.name, np.asarray(getattr(self, f.name), dtype=float))
         m, k = self.dq_modes.shape
         if self.q0.shape != (k,):
             raise DimensionMismatch("q0 and dq_modes disagree on K")
         if self.dr_modes.shape != (m, self.r0.shape[0]):
             raise DimensionMismatch("r0 and dr_modes disagree on M or Z")
-        if self.d2r_diag is not None:
-            self.d2r_diag = np.asarray(self.d2r_diag, dtype=float)
-            if self.d2r_diag.shape != self.dr_modes.shape:
-                raise DimensionMismatch("d2r_diag must be shaped like dr_modes")
-        if self.d2r_meandir is not None:
-            self.d2r_meandir = np.asarray(self.d2r_meandir, dtype=float)
-            if self.d2r_meandir.shape != self.r0.shape:
-                raise DimensionMismatch("d2r_meandir must be shaped like r0")
-        if (self.d2r_diag is None or self.d2r_meandir is None) and not self.prediction_affine:
-            raise MissingSecondDerivatives(
-                "second derivatives absent but prediction not flagged affine"
-            )
+        if self.d2r_diag.shape != self.dr_modes.shape:
+            raise DimensionMismatch("d2r_diag must be shaped like dr_modes")
+        if self.d2r_meandir.shape != self.r0.shape:
+            raise DimensionMismatch("d2r_meandir must be shaped like r0")
 
     @property
     def n_modes(self) -> int:
         return self.dq_modes.shape[0]
-
-    def second_diag(self) -> np.ndarray:
-        return np.zeros_like(self.dr_modes) if self.d2r_diag is None else self.d2r_diag
-
-    def second_meandir(self) -> np.ndarray:
-        return np.zeros_like(self.r0) if self.d2r_meandir is None else self.d2r_meandir
 
 
 class ForwardModel:
@@ -105,7 +86,6 @@ class ForwardModel:
     """
 
     name = "abstract"
-    prediction_affine = False
 
     def __init__(self):
         self.solve_count = 0

@@ -107,10 +107,6 @@ class AffineExpansion:
     def dim(self) -> int:
         return self.x0.shape[0]
 
-    @property
-    def centered(self) -> bool:
-        return all(law.mean == 0.0 for law in self.laws)
-
     def coefficient_means(self) -> np.ndarray:
         return np.array([law.mean for law in self.laws])
 
@@ -151,9 +147,7 @@ class KleBasis:
     """Truncated Karhunen-Loeve basis on a triangular mesh."""
 
     eigenvalues: np.ndarray
-    eigenfields: np.ndarray  # (retained, n_nodes), unit L2 norm each
-    truncation_tol: float
-    retained: int
+    eigenfields: np.ndarray  # (n_modes, n_nodes), unit L2 norm each
 
 
 def gaussian_kernel(gamma: float):
@@ -186,12 +180,7 @@ def build_kle(kernel, mesh: TriangularMesh, tol: float) -> KleBasis:
 
     # the relative threshold raises EmptyBasis when no mode passes it
     values, vectors = generalized_sym_eig(galerkin, SpdMatrix(mass), float(tol))
-    return KleBasis(
-        eigenvalues=values,
-        eigenfields=vectors.T.copy(),
-        truncation_tol=float(tol),
-        retained=values.size,
-    )
+    return KleBasis(eigenvalues=values, eigenfields=vectors.T.copy())
 
 
 def brownian_bridge_modes(n_modes: int, tgrid) -> np.ndarray:

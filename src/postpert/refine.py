@@ -2,21 +2,22 @@
 
 The reference is moved in coefficient space along the span of the modes:
 
-    d_j = alpha E[z_j] + (y0_j - y_j)
+    d_j = alpha E[z_j] - y_j
         + alpha^2 Var[z_j] <delta - Q(x(y)), dq_j at x(y)>_Sigma
     y  <- y + step_scale * d
 
-where x(y) = x0 + sum_j mode_j (y_j - y0_j).  The update equals minus the
-prior-covariance-preconditioned gradient of the Tikhonov functional, so the
-iteration is a fixed-step descent method; for small perturbation scales its
-fixed point approximates the posterior mean of the parameter to third order.
+where x(y) = x0 + sum_j mode_j y_j and y starts at zero.  The update equals
+minus the prior-covariance-preconditioned gradient of the Tikhonov
+functional, so the iteration is a fixed-step descent method; for small
+perturbation scales its fixed point approximates the posterior mean of the
+parameter to third order.
 Coefficient laws never change during refinement, only their effective means
 are shifted by the accumulated reference motion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,27 +26,26 @@ from .model_api import ForwardModel, MeasurementSetup, data_coupling
 from .prior import AffineExpansion
 
 _BLOWUP_FACTOR = 1e6
+# run_refinement stops once an update norm falls to this value.
+STOP_TOL = 1e-12
 
 
 @dataclass
 class RefineState:
-    """Coefficients of the current and initial reference point."""
+    """Reference coefficients y (zero at the start) and the update norms so far."""
 
     y: np.ndarray
-    y0: np.ndarray
     update_history: list[float] = field(default_factory=list)
-    iteration: int = 0
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
-        self.y0 = np.asarray(self.y0, dtype=float)
 
     @staticmethod
     def initial(n_modes: int) -> "RefineState":
-        return RefineState(np.zeros(n_modes), np.zeros(n_modes))
+        return RefineState(np.zeros(n_modes))
 
     def reference_point(self, expansion: AffineExpansion) -> np.ndarray:
-        return expansion.point_from_shift(self.y - self.y0)
+        return expansion.point_from_shift(self.y)
 
 
 def _update_direction(
@@ -58,7 +58,7 @@ def _update_direction(
     q, dq = model.linearize(expansion, x)
     coupled = data_coupling(meas, q, dq)
     alpha = expansion.alpha
-    shifted_means = alpha * expansion.coefficient_means() + state.y0 - state.y
+    shifted_means = alpha * expansion.coefficient_means() - state.y
     return shifted_means + alpha ** 2 * expansion.coefficient_variances() * coupled
 
 
@@ -76,15 +76,10 @@ def refine_step(
     if not np.isfinite(norm) or (divergence_bound is not None and norm > divergence_bound):
         raise Diverged(
             f"update norm {norm:.3e} exceeded the blow-up bound at iteration "
-            f"{state.iteration}",
+            f"{len(state.update_history)}",
             state=state,
         )
-    return RefineState(
-        y=state.y + step_scale * d,
-        y0=state.y0,
-        update_history=state.update_history + [norm],
-        iteration=state.iteration + 1,
-    )
+    return RefineState(y=state.y + step_scale * d, update_history=state.update_history + [norm])
 
 
 def run_refinement(
@@ -93,7 +88,6 @@ def run_refinement(
     meas: MeasurementSetup,
     max_iterations: int = 100,
     step_scale: float = 1.0,
-    stop_tol: float = 1e-12,
 ):
     """Drive refine_step from the expansion's own reference point.
 
@@ -110,15 +104,15 @@ def run_refinement(
         except Diverged:
             raise
         except PostpertError as exc:
-            if state.iteration == 0:
+            if not state.update_history:
                 raise
             raise Diverged(
-                f"model solve broke down at iteration {state.iteration}: {exc}",
+                f"model solve broke down at iteration {len(state.update_history)}: {exc}",
                 state=state,
             ) from exc
         if bound is None and state.update_history[0] > 0.0:
             bound = _BLOWUP_FACTOR * state.update_history[0]
-        if state.update_history[-1] <= stop_tol:
+        if state.update_history[-1] <= STOP_TOL:
             break
     return state.reference_point(expansion), state
 
@@ -128,26 +122,22 @@ def tikhonov_gradient(
     model: ForwardModel,
     expansion: AffineExpansion,
     meas: MeasurementSetup,
-    y0=None,
 ) -> np.ndarray:
     """Gradient of the regularized misfit in reference coefficients.
 
     g_j = -<delta - Q(x(y)), dq_j at x(y)>_Sigma
-          + (y_j - y0_j - alpha E[z_j]) / (alpha^2 Var[z_j])
+          + (y_j - alpha E[z_j]) / (alpha^2 Var[z_j])
 
     The refinement direction equals -alpha^2 Var[z_j] g_j, which tests
     verify by computing both sides independently.
     """
     y = np.asarray(y, dtype=float)
-    y0 = np.zeros_like(y) if y0 is None else np.asarray(y0, dtype=float)
     variances = expansion.coefficient_variances()
     if np.any(variances <= 0.0):
         raise SingularPrior("Tikhonov gradient needs strictly positive variances")
     alpha = expansion.alpha
-    x = expansion.point_from_shift(y - y0)
+    x = expansion.point_from_shift(y)
     q, dq = model.linearize(expansion, x)
     coupled = data_coupling(meas, q, dq)
-    prior_pull = (y - y0 - alpha * expansion.coefficient_means()) / (
-        alpha ** 2 * variances
-    )
+    prior_pull = (y - alpha * expansion.coefficient_means()) / (alpha ** 2 * variances)
     return -coupled + prior_pull

@@ -19,7 +19,6 @@ class ConjugateGaussianModel(ForwardModel):
     """Scalar model Q(x) = q0 + q1 x with identity prediction R(x) = x."""
 
     name = "conjugate-gaussian"
-    prediction_affine = True
 
     def __init__(self, q0: float, q1: float, noise_var: float):
         super().__init__()
@@ -61,10 +60,9 @@ class ConjugateGaussianModel(ForwardModel):
             dq_modes=self.q1 * expansion.modes,
             r0=ref.copy(),
             dr_modes=expansion.modes.copy(),
-            d2r_diag=None,
-            d2r_meandir=None,
+            d2r_diag=np.zeros_like(expansion.modes),
+            d2r_meandir=np.zeros_like(ref),
             reference=ref,
-            prediction_affine=True,
         )
 
 
@@ -77,7 +75,6 @@ class PolynomialToyModel(ForwardModel):
     """
 
     name = "polynomial-toy"
-    prediction_affine = False
 
     def __init__(self, noise=((0.04, 0.008), (0.008, 0.05))):
         super().__init__()

@@ -288,8 +288,7 @@ def expansion_moments(evals, meas, laws, alpha):
     n_modes, n_obs = np.shape(evals.dq_modes)
     z = len(evals.r0)
     r0, dr = evals.r0, evals.dr_modes
-    d2 = np.zeros((n_modes, z)) if evals.d2r_diag is None else evals.d2r_diag
-    d2m = np.zeros(z) if evals.d2r_meandir is None else evals.d2r_meandir
+    d2, d2m = evals.d2r_diag, evals.d2r_meandir
     weighted = gauss_solve(meas.sigma.entries, meas.data - evals.q0)
     coupling = [sum(evals.dq_modes[j, i] * weighted[i] for i in range(n_obs)) for j in range(n_modes)]
 

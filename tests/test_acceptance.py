@@ -220,7 +220,7 @@ def test_criterion_5_darcy_refinement():
         variances = scaled.coefficient_variances()
         state = RefineState.initial(scaled.n_modes)
         for _ in range(len(history)):
-            grad = tikhonov_gradient(state.y, model, scaled, meas, state.y0)
+            grad = tikhonov_gradient(state.y, model, scaled, meas)
             stepped = refine_step(state, model, scaled, meas)
             d = stepped.y - state.y
             gap = np.linalg.norm(d + scaled.alpha ** 2 * variances * grad)

@@ -18,7 +18,7 @@ from postpert.estimators import tensor_grid_oracle
 from postpert.expansion import expand_posterior_moments
 from postpert.lv import OBSERVED_DATA
 from postpert.model_api import evaluate_at, generate_data
-from postpert.refine import run_refinement
+from postpert.refine import STOP_TOL, run_refinement
 
 
 def _read_csv(path):
@@ -159,6 +159,7 @@ class TestConvergeCommand:
             assert r[5] == "qmc"
             assert float(r[6]) == 0.0  # no --timing
             assert r[7] == "ok"
+            assert all(r[i] == _fmt(float(r[i])) for i in (0, 3, 4, 6))  # float columns
 
     def test_smaller_alpha_has_smaller_error(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -175,13 +176,12 @@ class TestConvergeCommand:
         main(_converge_args(c, "--threads", "8"))
         assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
-    def test_empty_alpha_list_writes_header_only(self, tmp_path):
+    @pytest.mark.parametrize("alphas", ["", ","], ids=["empty", "comma"])
+    def test_empty_alpha_list_is_rejected(self, tmp_path, capsys, alphas):
         out = tmp_path / "report.csv"
-        assert main(_converge_args(out)[:-4] + ["--alphas", "", "--output", str(out)]) == 0
-        assert _read_csv(out) == [list(
-            ("alpha", "quantity", "norm_name", "error_expansion",
-             "error_reference_est", "reference_kind", "wallclock_seconds", "status")
-        )]
+        assert main(_converge_args(out)[:-4] + ["--alphas", alphas, "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: alphas")
+        assert not out.exists()
 
     def test_no_reference_rows_are_flagged(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -307,6 +307,7 @@ class TestRefineCommand:
         assert float(row[2]) <= float(hist[1][2])  # norms shrank
         assert math.isnan(float(row[3]))  # no reference requested
         assert row[4] == "l2" and row[5] == "none" and row[7] == "ok"
+        assert all(row[i] == _fmt(float(row[i])) for i in (0, 2, 3, 6))  # float columns
 
     def test_reference_gives_finite_final_error(self, tmp_path):
         out = tmp_path / "refine.csv"
@@ -318,6 +319,37 @@ class TestRefineCommand:
         row = _read_csv(tmp_path / "refine-final.csv")[1]
         assert math.isfinite(float(row[3])) and float(row[3]) > 0.0
         assert row[5] == "qmc" and row[7] == "ok"
+
+    def test_used_up_iterations_are_not_ok(self, tmp_path):
+        """Three steps leave a darcy update norm near 5e-7, above STOP_TOL."""
+        out = tmp_path / "refine.csv"
+        code = main([
+            "refine", "--model", "darcy", "--mesh-level", "2", "--kle-tol", "0.01",
+            "--alphas", "0.25", "--iterations", "3", "--reference", "none",
+            "--output", str(out),
+        ])
+        assert code == 0
+        row = _read_csv(tmp_path / "refine-final.csv")[1]
+        assert int(row[1]) == 3
+        assert float(row[2]) > STOP_TOL
+        assert math.isnan(float(row[3]))
+        assert row[7] == "max-iterations"
+
+    def test_wandering_predator_prey_keeps_its_final_error(self, tmp_path):
+        """Twenty steps do not settle either predator-prey refinement; both rows
+        are marked and still scored against the sampled mean."""
+        out = tmp_path / "refine.csv"
+        code = main([
+            "refine", "--model", "lotka-volterra", "--alphas", "0.25,0.125",
+            "--iterations", "20", "--reference", "mc", "--samples", "300",
+            "--seed", "3", "--output", str(out),
+        ])
+        assert code == 0
+        finals = _read_csv(tmp_path / "refine-final.csv")[1:]
+        assert [r[7] for r in finals] == ["max-iterations", "max-iterations"]
+        for r in finals:
+            assert int(r[1]) == 20 and float(r[2]) > STOP_TOL
+            assert math.isfinite(float(r[3])) and float(r[3]) > 0.0
 
     def test_forced_divergence_is_flagged_not_fatal(self, tmp_path):
         out = tmp_path / "refine.csv"

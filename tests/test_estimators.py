@@ -42,11 +42,6 @@ def _toy_setup(alpha, normal=False):
 
 
 class TestSampleBudget:
-    def test_source_labels(self):
-        assert SampleBudget("halton", 10).source == "qmc"
-        assert SampleBudget("antithetic-mc", 10).source == "mc"
-        assert SampleBudget("tensor-grid", 10).source == "quadrature"
-
     def test_validation(self):
         with pytest.raises(DimensionMismatch):
             SampleBudget("bootstrap", 10)
@@ -227,7 +222,6 @@ class TestSweep:
                 want = tensor_grid_oracle(m, expansion, setup, 24)
                 for name in ("mean", "correlation", "covariance"):
                     assert np.array_equal(getattr(grid[i][j], name), getattr(want, name))
-                assert grid[i][j].source == "quadrature"
         assert not np.allclose(grid[0][0].mean, grid[1][0].mean)
         assert not np.allclose(grid[0][0].mean, grid[0][1].mean)
 
@@ -250,11 +244,6 @@ class _StatePredictionToy(PolynomialToyModel):
 
 class _CubicModel(ForwardModel):
     """Scalar prediction x^3 with a constant observation, for Gauss exactness."""
-
-    prediction_affine = False
-
-    def __init__(self):
-        super().__init__()
 
     @property
     def parameter_dim(self):

@@ -24,10 +24,9 @@ def _still_evals(r0, n_modes=2, z=2, k=2):
         dq_modes=np.zeros((n_modes, k)),
         r0=np.asarray(r0, dtype=float),
         dr_modes=np.zeros((n_modes, z)),
-        d2r_diag=None,
-        d2r_meandir=None,
+        d2r_diag=np.zeros((n_modes, z)),
+        d2r_meandir=np.zeros(z),
         reference=np.zeros(z),
-        prediction_affine=True,
     )
 
 
@@ -127,10 +126,9 @@ class TestRankOneCovariance:
             dq_modes=np.zeros((1, 1)),
             r0=np.zeros(3),
             dr_modes=v[None, :],
-            d2r_diag=None,
-            d2r_meandir=None,
+            d2r_diag=np.zeros((1, 3)),
+            d2r_meandir=np.zeros(3),
             reference=np.zeros(3),
-            prediction_affine=True,
         )
         laws = (CoefficientLaw.uniform_symmetric(np.sqrt(lam)),)
         meas = MeasurementSetup(data=np.ones(1), sigma=SpdMatrix(np.eye(1)))
@@ -168,15 +166,6 @@ class TestAgainstQuadratureOracle:
 
 
 class TestMomentsBundle:
-    def test_centered_flag_follows_laws(self, toy_pair, toy_pair_centered):
-        for pair, want in ((toy_pair, False), (toy_pair_centered, True)):
-            model, expansion = pair
-            meas = MeasurementSetup(data=TOY_DATA, sigma=model.noise_covariance())
-            ev = evaluate_at(model, expansion)
-            moments = expand_posterior_moments(ev, meas, expansion.laws, 0.25)
-            assert moments.centered is want
-            assert moments.source == "expansion"
-
     def test_symmetric_outputs(self, toy_pair):
         model, expansion = toy_pair
         meas = MeasurementSetup(data=TOY_DATA, sigma=model.noise_covariance())
@@ -200,16 +189,6 @@ class TestMomentsBundle:
                 mean=np.zeros(2),
                 correlation=np.zeros((3, 3)),
                 covariance=np.zeros((2, 2)),
-                centered=True,
-                source="expansion",
-            )
-        with pytest.raises(DimensionMismatch):
-            PosteriorMoments(
-                mean=np.zeros(2),
-                correlation=np.zeros((2, 2)),
-                covariance=np.zeros((2, 2)),
-                centered=True,
-                source="made-up",
             )
 
 
@@ -243,10 +222,9 @@ class TestAgainstTermByTermOracle:
             dq_modes=rng.normal(size=(m, k)),
             r0=rng.normal(size=z),
             dr_modes=rng.normal(size=(m, z)),
-            d2r_diag=rng.normal(size=(m, z)) if second else None,
-            d2r_meandir=rng.normal(size=z) if second else None,
+            d2r_diag=rng.normal(size=(m, z)) if second else np.zeros((m, z)),
+            d2r_meandir=rng.normal(size=z) if second else np.zeros(z),
             reference=np.zeros(3),
-            prediction_affine=not second,
         )
         root = rng.normal(size=(k, k))
         sigma = SpdMatrix(root @ root.T + k * np.eye(k))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from postpert.darcy import build_darcy
-from postpert.errors import DimensionMismatch, MissingSecondDerivatives
+from postpert.errors import DimensionMismatch
 from postpert.linalg import SpdMatrix
 from postpert.model_api import (
     MeasurementSetup,
@@ -10,6 +10,7 @@ from postpert.model_api import (
     evaluate_at,
     generate_data,
 )
+from postpert.lv import build_lotka_volterra
 from postpert.prior import AffineExpansion, CoefficientLaw
 from postpert.toy import ConjugateGaussianModel, PolynomialToyModel
 
@@ -29,43 +30,77 @@ class TestModelEvaluations:
             dq_modes=np.ones((3, 2)),
             r0=np.zeros(4),
             dr_modes=np.ones((3, 4)),
+            d2r_diag=np.zeros((3, 4)),
+            d2r_meandir=np.zeros(4),
             reference=np.zeros(5),
         )
 
-    def test_missing_second_derivatives_rejected(self):
-        with pytest.raises(MissingSecondDerivatives):
-            ModelEvaluations(d2r_diag=None, d2r_meandir=None, **self._base_kwargs())
+    def test_complete_bundle_accepted(self):
+        ev = ModelEvaluations(**self._base_kwargs())
+        assert ev.n_modes == 3
 
-    def test_affine_flag_allows_missing(self):
-        ev = ModelEvaluations(
-            d2r_diag=None,
-            d2r_meandir=None,
-            prediction_affine=True,
-            **self._base_kwargs(),
-        )
-        assert np.array_equal(ev.second_diag(), np.zeros((3, 4)))
-        assert np.array_equal(ev.second_meandir(), np.zeros(4))
-
-    def test_shape_checks(self):
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("d2r_diag", None),
+            ("d2r_meandir", None),
+            ("q0", np.zeros(3)),
+            ("d2r_diag", np.zeros((3, 3))),
+            ("d2r_meandir", np.zeros(3)),
+        ],
+        ids=["diag-missing", "meandir-missing", "q0-misshaped", "diag-misshaped", "meandir-misshaped"],
+    )
+    def test_missing_or_misshaped_fields_rejected(self, field, bad):
         kwargs = self._base_kwargs()
-        kwargs["q0"] = np.zeros(3)
+        kwargs[field] = bad
         with pytest.raises(DimensionMismatch):
-            ModelEvaluations(
-                d2r_diag=None, d2r_meandir=None, prediction_affine=True, **kwargs
-            )
+            ModelEvaluations(**kwargs)
+
+
+def _conjugate():
+    expansion = AffineExpansion(
+        x0=np.array([0.3]), modes=np.array([[0.7]]), laws=(CoefficientLaw.standard_normal(),)
+    )
+    return ConjugateGaussianModel(0.5, 2.0, 0.1), expansion
+
+
+def _polynomial():
+    laws = (CoefficientLaw.uniform_shifted(1.0, 0.3), CoefficientLaw.uniform_shifted(1.0, -0.2))
+    expansion = AffineExpansion(
+        x0=np.array([0.2, -0.1]), modes=np.array([[1.0, 0.3], [-0.2, 0.8]]), laws=laws
+    )
+    return PolynomialToyModel(), expansion
+
+
+# name -> (builder, whether the prediction is affine in the parameter)
+_EVERY_MODEL = {
+    "darcy-r1": (lambda: build_darcy(2, kle_tol=1e-2, centered=False, prediction="r1"), True),
+    "darcy-r2": (lambda: build_darcy(2, kle_tol=1e-2, centered=False, prediction="r2"), False),
+    "lotka-volterra": (lambda: build_lotka_volterra(n_modes=4, n_steps=100), True),
+    "conjugate-gaussian": (_conjugate, True),
+    "polynomial-toy": (_polynomial, False),
+}
 
 
 class TestEvaluateAt:
-    def test_affine_prediction_has_no_curvature(self, darcy_level_2):
-        model, expansion = darcy_level_2  # r1 prediction is the parameter itself
+    @pytest.mark.parametrize("name", sorted(_EVERY_MODEL))
+    def test_bundle_always_holds_second_derivatives(self, name):
+        """Every model fills both second-derivative fields; affine ones with zeros."""
+        build, affine = _EVERY_MODEL[name]
+        model, expansion = build()
         ev = evaluate_at(model, expansion)
-        assert ev.prediction_affine
-        assert np.array_equal(ev.second_diag(), np.zeros_like(ev.dr_modes))
+        assert ev.d2r_diag.shape == ev.dr_modes.shape
+        assert ev.d2r_meandir.shape == ev.r0.shape
+        if affine:
+            np.testing.assert_array_equal(ev.d2r_diag, 0.0)
+            np.testing.assert_array_equal(ev.d2r_meandir, 0.0)
+        else:
+            assert ev.d2r_diag.any() and ev.d2r_meandir.any()
 
     def test_centered_laws_zero_mean_direction(self, toy_pair_centered):
         model, expansion = toy_pair_centered
         ev = evaluate_at(model, expansion)
-        assert np.allclose(ev.second_meandir(), 0.0, atol=1e-15)
+        assert np.allclose(ev.d2r_meandir, 0.0, atol=1e-15)
 
     def test_observation_derivatives_match_finite_differences(self, darcy_level_2):
         """Unit-direction dQ from the solver agrees with central differences."""

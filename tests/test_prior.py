@@ -95,14 +95,6 @@ class TestAffineExpansion:
         assert other.laws == exp.laws
         np.testing.assert_array_equal(other.modes, exp.modes)
 
-    def test_centered_flag(self):
-        exp = self._expansion()
-        assert not exp.centered
-        centered = AffineExpansion(
-            exp.x0, exp.modes, (CoefficientLaw.uniform_symmetric(1.0),) * 2
-        )
-        assert centered.centered
-
     def test_validation(self):
         with pytest.raises(DimensionMismatch):
             AffineExpansion(np.zeros(3), np.ones((2, 4)), (CoefficientLaw.standard_normal(),) * 2)
@@ -129,7 +121,7 @@ class TestKle:
     def test_wide_kernel_concentrates_on_one_mode(self, mesh_level_2):
         """gamma -> 0 flattens the kernel, so the constant mode carries it all."""
         basis = build_kle(gaussian_kernel(1e-12), mesh_level_2, 1e-6)
-        assert basis.retained == 1
+        assert len(basis.eigenvalues) == 1
         assert basis.eigenvalues[0] == pytest.approx(1.0, rel=1e-6)
         spread = basis.eigenfields[0].max() - basis.eigenfields[0].min()
         assert spread < 1e-6
@@ -160,7 +152,7 @@ class TestKleExport:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0][:2] == ["mode", "eigenvalue"]
-        assert len(rows) == basis.retained + 1
+        assert len(rows) == len(basis.eigenvalues) + 1
         assert float(rows[1][1]) == basis.eigenvalues[0]
         back = np.array([float(v) for v in rows[1][2:]])
         np.testing.assert_array_equal(back, basis.eigenfields[0])

@@ -5,7 +5,7 @@ import pytest
 
 from postpert.cli import StudyConfig, run_refinement_study
 from postpert.darcy import STUDY_OBSERVATIONS, darcy_noise_covariance
-from postpert.errors import Diverged
+from postpert.errors import Diverged, PostpertError
 from postpert.model_api import MeasurementSetup
 from postpert.prior import AffineExpansion, CoefficientLaw
 from postpert.refine import (
@@ -100,7 +100,7 @@ class TestTikhonovGradient:
         rng = np.random.default_rng(2)
         for _ in range(5):
             y = 0.05 * rng.normal(size=exp_a.n_modes)
-            state = RefineState(y=y.copy(), y0=np.zeros_like(y))
+            state = RefineState(y=y.copy())
             g = tikhonov_gradient(y, model, exp_a, meas)
             stepped = refine_step(state, model, exp_a, meas)
             d = stepped.y - y
@@ -113,7 +113,7 @@ class TestTikhonovGradient:
         variances = exp_a.coefficient_variances()
         state = RefineState.initial(exp_a.n_modes)
         for _ in range(6):
-            g = tikhonov_gradient(state.y, model, exp_a, meas, state.y0)
+            g = tikhonov_gradient(state.y, model, exp_a, meas)
             stepped = refine_step(state, model, exp_a, meas)
             d = stepped.y - state.y
             rhs = -exp_a.alpha ** 2 * variances * g
@@ -155,9 +155,8 @@ class TestHistoryExport:
         assert len(want) == 6
         assert [(float(a), int(it), float(n)) for a, it, n in rows[1:]] == want
 
-    def test_empty_histories(self, tmp_path):
+    def test_empty_alpha_list_rejected(self, tmp_path):
         path = tmp_path / "hist.csv"
-        run_refinement_study(self._study(path, ()))
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows == [["alpha", "iteration", "update_norm"]]
+        with pytest.raises(PostpertError, match="alphas"):
+            run_refinement_study(self._study(path, ()))
+        assert not path.exists()

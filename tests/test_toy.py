@@ -42,10 +42,9 @@ class TestConjugateGaussian:
             laws=(CoefficientLaw.standard_normal(),),
         )
         ev = evaluate_at(model, expansion)
-        assert ev.prediction_affine
         assert ev.dq_modes[0, 0] == pytest.approx(1.4)
         assert ev.dr_modes[0, 0] == pytest.approx(0.7)
-        np.testing.assert_array_equal(ev.second_diag(), np.zeros((1, 1)))
+        np.testing.assert_array_equal(ev.d2r_diag, np.zeros((1, 1)))
         # shifting the reference shifts outputs linearly, derivatives stay put
         ev2 = evaluate_at(model, expansion, reference=np.array([1.3]))
         assert ev2.q0[0] - ev.q0[0] == pytest.approx(2.0)
@@ -115,7 +114,7 @@ class TestPolynomialToy:
                 - 2 * model.predict(expansion.x0)
                 + model.predict(expansion.x0 - h * mode)
             ) / (h * h)
-            np.testing.assert_allclose(ev.second_diag()[m], fd, atol=1e-5)
+            np.testing.assert_allclose(ev.d2r_diag[m], fd, atol=1e-5)
 
     def test_evaluation_curvature_along_mean_shift(self):
         model = PolynomialToyModel()
@@ -128,7 +127,7 @@ class TestPolynomialToy:
             - 2 * model.predict(expansion.x0)
             + model.predict(expansion.x0 - h * w)
         ) / (h * h)
-        np.testing.assert_allclose(ev.second_meandir(), fd, atol=1e-5)
+        np.testing.assert_allclose(ev.d2r_meandir, fd, atol=1e-5)
 
     def test_centered_laws_drop_mean_direction(self):
         model = PolynomialToyModel()
@@ -141,7 +140,7 @@ class TestPolynomialToy:
             ),
         )
         ev = evaluate_at(model, expansion)
-        np.testing.assert_array_equal(ev.second_meandir(), np.zeros(2))
+        np.testing.assert_array_equal(ev.d2r_meandir, np.zeros(2))
 
     def test_noise_covariance_default(self):
         sigma = PolynomialToyModel().noise_covariance().entries
