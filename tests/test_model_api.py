@@ -39,22 +39,23 @@ class TestModelEvaluations:
         ev = ModelEvaluations(**self._base_kwargs())
         assert ev.n_modes == 3
 
-    @pytest.mark.parametrize(
-        "field, bad",
-        [
-            ("d2r_diag", None),
-            ("d2r_meandir", None),
+    def test_missing_second_derivatives_rejected(self):
+        for field in ("d2r_diag", "d2r_meandir"):
+            kwargs = self._base_kwargs()
+            kwargs[field] = None
+            with pytest.raises(DimensionMismatch):
+                ModelEvaluations(**kwargs)
+
+    def test_shape_checks(self):
+        for field, bad in (
             ("q0", np.zeros(3)),
             ("d2r_diag", np.zeros((3, 3))),
             ("d2r_meandir", np.zeros(3)),
-        ],
-        ids=["diag-missing", "meandir-missing", "q0-misshaped", "diag-misshaped", "meandir-misshaped"],
-    )
-    def test_missing_or_misshaped_fields_rejected(self, field, bad):
-        kwargs = self._base_kwargs()
-        kwargs[field] = bad
-        with pytest.raises(DimensionMismatch):
-            ModelEvaluations(**kwargs)
+        ):
+            kwargs = self._base_kwargs()
+            kwargs[field] = bad
+            with pytest.raises(DimensionMismatch):
+                ModelEvaluations(**kwargs)
 
 
 def _conjugate():
@@ -72,30 +73,32 @@ def _polynomial():
     return PolynomialToyModel(), expansion
 
 
-# name -> (builder, whether the prediction is affine in the parameter)
+# name -> builder of (model, expansion)
 _EVERY_MODEL = {
-    "darcy-r1": (lambda: build_darcy(2, kle_tol=1e-2, centered=False, prediction="r1"), True),
-    "darcy-r2": (lambda: build_darcy(2, kle_tol=1e-2, centered=False, prediction="r2"), False),
-    "lotka-volterra": (lambda: build_lotka_volterra(n_modes=4, n_steps=100), True),
-    "conjugate-gaussian": (_conjugate, True),
-    "polynomial-toy": (_polynomial, False),
+    "darcy-r1": lambda: build_darcy(2, kle_tol=1e-2, centered=False, prediction="r1"),
+    "darcy-r2": lambda: build_darcy(2, kle_tol=1e-2, centered=False, prediction="r2"),
+    "lotka-volterra": lambda: build_lotka_volterra(n_modes=4, n_steps=100),
+    "conjugate-gaussian": _conjugate,
+    "polynomial-toy": _polynomial,
 }
 
 
 class TestEvaluateAt:
-    @pytest.mark.parametrize("name", sorted(_EVERY_MODEL))
-    def test_bundle_always_holds_second_derivatives(self, name):
-        """Every model fills both second-derivative fields; affine ones with zeros."""
-        build, affine = _EVERY_MODEL[name]
-        model, expansion = build()
-        ev = evaluate_at(model, expansion)
+    def test_affine_prediction_has_no_curvature(self):
+        """Affine predictions fill both second-derivative fields with zeros."""
+        for name in ("darcy-r1", "lotka-volterra", "conjugate-gaussian"):
+            ev = evaluate_at(*_EVERY_MODEL[name]())
+            assert ev.d2r_diag.shape == ev.dr_modes.shape, name
+            assert ev.d2r_meandir.shape == ev.r0.shape, name
+            np.testing.assert_array_equal(ev.d2r_diag, 0.0, err_msg=name)
+            np.testing.assert_array_equal(ev.d2r_meandir, 0.0, err_msg=name)
+
+    @pytest.mark.parametrize("name", ["darcy-r2", "polynomial-toy"])
+    def test_curved_prediction_has_second_derivatives(self, name):
+        ev = evaluate_at(*_EVERY_MODEL[name]())
         assert ev.d2r_diag.shape == ev.dr_modes.shape
         assert ev.d2r_meandir.shape == ev.r0.shape
-        if affine:
-            np.testing.assert_array_equal(ev.d2r_diag, 0.0)
-            np.testing.assert_array_equal(ev.d2r_meandir, 0.0)
-        else:
-            assert ev.d2r_diag.any() and ev.d2r_meandir.any()
+        assert ev.d2r_diag.any() and ev.d2r_meandir.any()
 
     def test_centered_laws_zero_mean_direction(self, toy_pair_centered):
         model, expansion = toy_pair_centered

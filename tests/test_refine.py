@@ -155,7 +155,8 @@ class TestHistoryExport:
         assert len(want) == 6
         assert [(float(a), int(it), float(n)) for a, it, n in rows[1:]] == want
 
-    def test_empty_alpha_list_rejected(self, tmp_path):
+    def test_empty_histories(self, tmp_path):
+        """No alpha means no history to write: the study is rejected, no file is left."""
         path = tmp_path / "hist.csv"
         with pytest.raises(PostpertError, match="alphas"):
             run_refinement_study(self._study(path, ()))
