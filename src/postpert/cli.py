@@ -92,8 +92,8 @@ class StudyConfig:
             raise PostpertError(f"quantity must name any of {_QUANTITIES}, got {self.quantity!r}")
         if not self.alphas:
             raise PostpertError("alphas must name at least one scale")
-        if any(not (a > 0.0) for a in self.alphas):
-            raise PostpertError("alphas must be positive")
+        if any(not (0.0 < a < math.inf) for a in self.alphas):
+            raise PostpertError("alphas must be positive and finite")
         if self.seed < 0:
             raise PostpertError("seed must be non-negative")
         if self.threads < 1:

@@ -15,8 +15,18 @@ Forward, derivative and per-sample solves share one operator: the banded
 Cholesky factor of the Dirichlet-eliminated stiffness matrix
 (BandedStiffness).  It is assembled with one bincount over the band, factored
 once per log-coefficient field, and applied to all right-hand sides of one
-derivative order together; those right-hand sides are themselves scattered
-with one bincount for all modes.
+derivative order together.
+
+Right-hand sides are scattered from element vectors to interior rows through
+one fixed sparse structure built with the problem.  For first derivatives the
+element vector of triangle T is s_T (G_T u_T) for every direction, so the
+structure carries the values G_T u_T as an (n_int x T) operator and all
+columns come from one sparse product with the direction weights s.  Second
+derivatives have one element vector per direction and go through the same
+structure as a 0/1 scatter of (M, T, 3) element vectors.
+
+The P1 mass matrix, which defines the error norms, is held as a
+scipy.sparse csr_array.
 
 Observations are the solution values at five interior points; the noise
 covariance is fixed.  Priors come from a truncated KLE of a Gaussian kernel,
@@ -52,8 +62,10 @@ KERNEL_GAMMA = 20.0 / 3.0
 
 def _triangle_means(mesh: TriangularMesh, nodal: np.ndarray) -> np.ndarray:
     """Centroid values of nodal fields, (N,) -> (T,) or (M, N) -> (M, T)."""
-    # sum / 3 is what mean computes, without its per-call overhead
-    return nodal[..., mesh.triangles].sum(axis=-1) / 3.0
+    # the three vertex columns added left to right: the bits of mean(axis=-1),
+    # without its (..., T, 3) gather and per-call overhead
+    tri = mesh.triangles
+    return (nodal[..., tri[:, 0]] + nodal[..., tri[:, 1]] + nodal[..., tri[:, 2]]) / 3.0
 
 
 def _conductivity(mesh: TriangularMesh, b) -> np.ndarray:
@@ -99,9 +111,11 @@ class DarcyProblem:
         Interior vertices keep their lexicographic order, so the interior
         semi-bandwidth is one grid row.  Element contributions touching the
         boundary are dropped, which implements the Dirichlet elimination:
-        the lower band of the stiffness matrix and the interior rows of
-        element load vectors are each gathered by one bincount.
+        the lower band of the stiffness matrix is gathered by one bincount,
+        and the interior rows of element vectors by one sparse scatter.
         """
+        from scipy.sparse import csr_array
+
         mesh = self.mesh
         idx = mesh.interior
         self.n_int = len(idx)
@@ -118,28 +132,19 @@ class DarcyProblem:
         self.semi_bw = int((ii[keep] - jj[keep]).max())
         self._band_flat = (ii[keep] - jj[keep]) * self.n_int + jj[keep]
         self._band_shape = (self.semi_bw + 1, self.n_int)
-        self._slot_interior = tri_int >= 0  # element-vector slots that land inside
-        self._slot_node = tri_int[self._slot_interior]
         self.f_int = self.load[idx]
 
-    def gradient_rhs(self, *terms) -> np.ndarray:
-        """Interior right-hand sides -sum_T s_T (G_T v_T), one column per direction.
-
-        Each term pairs triangle weights s of shape (M, T) with a nodal field
-        v of shape (N,) or (M, N).  The terms are summed per element and all
-        M columns are scattered by one bincount; the result is (n_int, M).
-        """
-        tri = self.mesh.triangles
-        local = sum(
-            s[:, :, None] * np.einsum("tij,...tj->...ti", self._local, v[..., tri])
-            for s, v in terms
+        # The scatter structure: row i holds the flattened element-vector
+        # slots 3 T + k whose vertex is interior vertex i, in increasing slot
+        # order, so every row sums its contributions in triangle order.  Each
+        # triangle meets a vertex at most once, so slot // 3 is also a valid
+        # column index for a (n_int x T) operator with the same rows.
+        slots = np.flatnonzero(tri_int.ravel() >= 0)
+        self._scatter = csr_array(
+            (np.ones(len(slots)), (tri_int.ravel()[slots], slots)),
+            shape=(self.n_int, 3 * mesh.n_triangles),
         )
-        m = local.shape[0]
-        flat = self._slot_node + self.n_int * np.arange(m)[:, None]
-        rhs = np.bincount(
-            flat.ravel(), weights=-local[:, self._slot_interior].ravel(), minlength=m * self.n_int
-        )
-        return rhs.reshape(m, self.n_int).T
+        self._scatter_tri = self._scatter.indices // 3
 
     def solve_banded(self, b_nodal) -> np.ndarray:
         """Forward solve through the banded Cholesky path."""
@@ -175,17 +180,42 @@ class BandedStiffness:
         out[self.problem.mesh.interior] = x
         return out
 
+    def first_order_rhs(self, xibars, u) -> np.ndarray:
+        """Interior right-hand sides (n_int, M) -sum_T coef_T xibar_T (G_T u_T)
+        of the first derivatives along directions with centroid values
+        xibars (M, T).
+
+        The element vectors G_T u_T do not depend on the direction, so they
+        become the values of one (n_int x T) operator on the problem's
+        scatter structure, applied to all M weight columns at once.
+        """
+        from scipy.sparse import csr_array
+
+        problem = self.problem
+        g = np.einsum("tij,tj->ti", problem._local, u[problem.mesh.triangles]).ravel()
+        scatter = problem._scatter
+        op = csr_array(
+            (g[scatter.indices], problem._scatter_tri, scatter.indptr),
+            shape=(problem.n_int, problem.mesh.n_triangles),
+        )
+        return -(op @ (self.coef * xibars).T)
+
     def first_order(self, xibars, u) -> np.ndarray:
         """Derivatives (N, M) of the solution u along directions with centroid
         values xibars (M, T)."""
-        return self.solve(self.problem.gradient_rhs((self.coef * xibars, u)))
+        return self.solve(self.first_order_rhs(xibars, u))
 
     def second_order(self, xibars, u, w1) -> np.ndarray:
         """Second derivatives (N, M) along (xi_j, xi_j), given the first
         derivatives w1, shaped (M, N) or (N,) for a single direction."""
-        return self.solve(
-            self.problem.gradient_rhs((2.0 * self.coef * xibars, w1), (self.coef * xibars ** 2, u))
-        )
+        problem = self.problem
+        tri = problem.mesh.triangles
+        local = (2.0 * self.coef * xibars)[:, :, None] * np.einsum(
+            "tij,...tj->...ti", problem._local, w1[..., tri]
+        ) + (self.coef * xibars ** 2)[:, :, None] * np.einsum(
+            "tij,tj->ti", problem._local, u[tri]
+        )  # (M, T, 3) element vectors, scattered to (n_int, M)
+        return self.solve(-(problem._scatter @ local.reshape(len(local), -1).T))
 
 
 class DarcyModel(ForwardModel):

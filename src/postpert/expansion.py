@@ -61,17 +61,29 @@ def expand_posterior_moments(
     dr = evals.dr_modes
     s = data_coupling(meas, evals.q0, evals.dq_modes)
 
+    r0 = evals.r0
     m1 = means @ dr
     m2 = 0.5 * (variances @ evals.d2r_diag + evals.d2r_meandir)
     m2 = m2 + (variances * s) @ dr
-    c2 = (variances[:, None] * dr).T @ dr
-    c2 = 0.5 * (c2 + c2.T)
 
-    covariance = alpha ** 2 * c2
-    cross = np.outer(evals.r0, evals.r0 + 2.0 * (alpha * m1 + alpha ** 2 * m2))
-    correlation = 0.5 * (cross + cross.T) + alpha ** 2 * np.outer(m1, m1) + covariance
+    # Three Z x Z buffers: scratch, covariance and correlation.  Scaling by
+    # 0.5 is exact, so folding it into alpha^2 and into the outer-product
+    # vector keeps the bits of 0.5 * (X + X^T) scaled afterwards.  Every term
+    # is a matrix plus its transpose or a vector's outer product with itself,
+    # so both outputs are exactly symmetric.
+    z = r0.shape[0]
+    scratch = (variances[:, None] * dr).T @ dr
+    covariance = np.add(scratch, scratch.T, out=np.empty((z, z)))
+    covariance *= 0.5 * alpha ** 2
+    half_cross = 0.5 * (r0 + 2.0 * (alpha * m1 + alpha ** 2 * m2))
+    np.multiply(r0[:, None], half_cross, out=scratch)
+    correlation = np.add(scratch, scratch.T, out=np.empty((z, z)))
+    np.multiply(m1[:, None], m1, out=scratch)
+    scratch *= alpha ** 2
+    correlation += scratch
+    correlation += covariance
     return PosteriorMoments(
-        mean=evals.r0 + alpha * m1 + alpha ** 2 * m2,
+        mean=r0 + alpha * m1 + alpha ** 2 * m2,
         correlation=correlation,
         covariance=covariance,
     )

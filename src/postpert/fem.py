@@ -107,17 +107,24 @@ def local_stiffness(mesh: TriangularMesh) -> np.ndarray:
     return mesh.areas[:, None, None] * np.einsum("tid,tjd->tij", g, g)
 
 
-def assemble_mass(mesh: TriangularMesh) -> np.ndarray:
-    """Exact P1 mass matrix of the full vertex set."""
+def assemble_mass(mesh: TriangularMesh):
+    """Exact P1 mass matrix of the full vertex set, as a scipy.sparse csr_array.
+
+    Duplicate (row, column) triplets of neighbouring elements are summed by
+    the COO-to-CSR conversion.  Callers that need dense entries (the KLE's
+    generalized eigenproblem) call .toarray() on their own copy.
+    """
+    # scipy.sparse is imported here, not at module level, so that processes
+    # which never assemble a mass matrix do not load it
+    from scipy.sparse import csr_array
+
     n = mesh.n_nodes
     local = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    m = np.zeros((n, n))
     tri = mesh.triangles
     vals = mesh.areas[:, None, None] * local[None, :, :]
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
-    np.add.at(m, (rows, cols), vals.ravel())
-    return m
+    return csr_array((vals.ravel(), (rows, cols)), shape=(n, n))
 
 
 def assemble_weighted_stiffness(mesh: TriangularMesh, tri_coef) -> np.ndarray:

@@ -6,7 +6,9 @@ Conventions:
   - weighted inner products <u, v>_S = u^T S^{-1} v are always evaluated
     through the Cholesky factor, never through an explicit inverse,
   - generalized symmetric eigenproblems a v = lambda m v are reduced with
-    the Cholesky factor of m and handed to a dense symmetric eigensolver.
+    the Cholesky factor of m and handed to a dense symmetric eigensolver,
+  - the mass-weighted norms take the mass matrix as a dense array or as a
+    scipy.sparse matrix and touch it only through products m @ x.
 """
 
 from __future__ import annotations
@@ -79,15 +81,27 @@ class SpdMatrix:
         return f"SpdMatrix(n={self.n})"
 
 
+def _as_mass(mass):
+    """A square mass matrix, dense or scipy.sparse (kept sparse)."""
+    # sparse matrices carry nnz; everything else is read as a dense array
+    m = mass if hasattr(mass, "nnz") else np.asarray(mass, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
 def field_l2_norm(mass, coeffs) -> float:
-    """Norm sqrt(c^T M c) of a nodal field c in the mass inner product."""
-    m = _as_square(mass)
+    """Norm sqrt(c^T (M c)) of a nodal field c in the mass inner product.
+
+    M may be dense or scipy.sparse; it enters through one product M @ c.
+    """
+    m = _as_mass(mass)
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (m.shape[0],):
         raise DimensionMismatch(f"coefficients {c.shape} do not fit mass matrix {m.shape}")
     # overflow in huge fields is reported as inf, not as a warning
     with np.errstate(over="ignore"):
-        val = float(c @ m @ c)
+        val = float(c @ (m @ c))
     # roundoff can leave a tiny negative value for c ~ 0
     return float(np.sqrt(max(val, 0.0)))
 
@@ -95,16 +109,16 @@ def field_l2_norm(mass, coeffs) -> float:
 def tensor_l2_norm(mass, k) -> float:
     """Hilbert-Schmidt norm sqrt(trace(M K M K^T)) of a nodal tensor K.
 
-    For K = u v^T this factors into the product of the field norms of u and v.
+    Evaluated as sum((M K) * (K M)), so a dense or scipy.sparse M enters
+    through two products with K.  For K = u v^T this factors into the
+    product of the field norms of u and v.
     """
-    m = _as_square(mass)
+    m = _as_mass(mass)
     kk = _as_square(k)
     if kk.shape != m.shape:
         raise DimensionMismatch(f"tensor {kk.shape} does not fit mass matrix {m.shape}")
     with np.errstate(over="ignore"):
-        mk = m @ kk
-        km = kk @ m
-        val = float(np.sum(mk * km))
+        val = float(np.sum((m @ kk) * (kk @ m)))
     return float(np.sqrt(max(val, 0.0)))
 
 

@@ -96,8 +96,8 @@ class AffineExpansion:
             raise DimensionMismatch("one coefficient law per mode expected")
         if len(self.laws) == 0:
             raise EmptyBasis("an expansion needs at least one mode")
-        if not self.alpha > 0.0:
-            raise DimensionMismatch("scale alpha must be positive")
+        if not 0.0 < self.alpha < np.inf:
+            raise DimensionMismatch("scale alpha must be positive and finite")
 
     @property
     def n_modes(self) -> int:
@@ -170,7 +170,8 @@ def build_kle(kernel, mesh: TriangularMesh, tol: float) -> KleBasis:
     Modes with lambda_i > tol * lambda_1 are retained; the eigenfields come
     out mass-orthonormal, i.e. with unit L2 norm.
     """
-    mass = assemble_mass(mesh)
+    # the Cholesky reduction of the eigenproblem works on dense entries
+    mass = assemble_mass(mesh).toarray()
     p = np.zeros((mesh.n_triangles, mesh.n_nodes))
     rows = np.repeat(np.arange(mesh.n_triangles), 3)
     np.add.at(p, (rows, mesh.triangles.ravel()), np.repeat(mesh.areas / 3.0, 3))

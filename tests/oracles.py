@@ -115,6 +115,61 @@ def fourier_poisson_center(n_terms=100):
     return total
 
 
+def dense_mass(mesh):
+    """P1 mass matrix as a dense N x N array, duplicates summed by np.add.at.
+
+    Written out from the element matrix |T| (1 + delta_ij) / 12, in the
+    triplet order of the library's assembly, so that a sparse assembly of
+    the same triplets on a uniform mesh must match it bit for bit.
+    """
+    n = len(mesh.nodes)
+    local = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+    m = np.zeros((n, n))
+    tri = mesh.triangles
+    vals = mesh.areas[:, None, None] * local[None, :, :]
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    np.add.at(m, (rows, cols), vals.ravel())
+    return m
+
+
+def gradient_rhs_loop(mesh, b, directions, u):
+    """First-derivative right-hand sides of the Darcy operator, one loop each.
+
+    For every direction xi and triangle T with vertices p0, p1, p2 this adds
+    -exp(bbar_T) xibar_T |T| grad(phi_i) . grad(phi_k) u_k to the row of each
+    interior vertex i, where bars are vertex averages.  Areas and hat
+    gradients are recomputed from the coordinates.  Returns (n_int, M) with
+    rows in the order of the interior vertices.
+    """
+    interior = [i for i in range(len(mesh.nodes)) if not mesh.boundary_mask[i]]
+    row_of = {node: r for r, node in enumerate(interior)}
+    directions = np.atleast_2d(directions)
+    rhs = np.zeros((len(interior), len(directions)))
+    for tri in mesh.triangles:
+        (x0, y0), (x1, y1), (x2, y2) = (mesh.nodes[v] for v in tri)
+        det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+        area = 0.5 * det
+        # gradient of the hat at vertex k: rotated opposite edge over det
+        grads = [
+            ((y1 - y2) / det, (x2 - x1) / det),
+            ((y2 - y0) / det, (x0 - x2) / det),
+            ((y0 - y1) / det, (x1 - x0) / det),
+        ]
+        coef = math.exp((b[tri[0]] + b[tri[1]] + b[tri[2]]) / 3.0)
+        for i in range(3):
+            if tri[i] not in row_of:
+                continue
+            flux = sum(
+                area * (grads[i][0] * grads[k][0] + grads[i][1] * grads[k][1]) * u[tri[k]]
+                for k in range(3)
+            )
+            for j, xi in enumerate(directions):
+                xibar = (xi[tri[0]] + xi[tri[1]] + xi[tri[2]]) / 3.0
+                rhs[row_of[tri[i]], j] -= coef * xibar * flux
+    return rhs
+
+
 def observed_order(step_sizes, errors):
     """Least-squares slope of log(error) against log(step size)."""
     lx = np.log(np.asarray(step_sizes, dtype=float))

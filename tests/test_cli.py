@@ -92,6 +92,8 @@ class TestConfigValidation:
             {"kle_tol": 0.0},
             {"prediction": "r3"},
             {"seed": -1},
+            {"alphas": "0.5,inf"},
+            {"alphas": "nan"},
         ],
     )
     def test_rejected_settings(self, overrides):
@@ -225,6 +227,20 @@ class TestConvergeCommand:
         out = tmp_path / "out.csv"
         assert main(argv + ["--output", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: seed")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["converge", "refine"])
+    def test_infinite_alpha_exits_with_error(self, tmp_path, capsys, command):
+        """An infinite scale is refused before any solve, with one error line."""
+        out = tmp_path / "report.csv"
+        code = main([
+            command, "--model", "darcy", "--mesh-level", "1", "--kle-tol", "0.1",
+            "--alphas", "inf", "--reference", "none", "--output", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: alphas must be positive and finite")
+        assert err.count("\n") == 1
         assert not out.exists()
 
 

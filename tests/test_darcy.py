@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +21,13 @@ from postpert.fem import assemble_weighted_stiffness, build_unit_square_mesh, lo
 from postpert.model_api import evaluate_at
 from postpert.prior import AffineExpansion, CoefficientLaw
 
-from oracles import fourier_poisson_center, gauss_solve, jacobi_eigenvalues, observed_order
+from oracles import (
+    fourier_poisson_center,
+    gauss_solve,
+    gradient_rhs_loop,
+    jacobi_eigenvalues,
+    observed_order,
+)
 
 # Point observations of the forward solution at the constant reference b = 1,
 # mesh level 3.  Frozen from a run of the partial-pivoting direct solver.
@@ -180,8 +187,10 @@ class TestKleBasis:
         lam = basis.eigenvalues
         assert np.all(np.diff(lam) <= 0)
         assert np.all(lam > 1e-3 * lam[0])
-        gram = basis.eigenfields @ assemble_mass(mesh_level_3) @ basis.eigenfields.T
-        np.testing.assert_allclose(gram, np.eye(len(lam)), atol=1e-8)
+        sparse = assemble_mass(mesh_level_3)
+        for mass in (sparse, sparse.toarray()):
+            gram = basis.eigenfields @ (mass @ basis.eigenfields.T)
+            np.testing.assert_allclose(gram, np.eye(len(lam)), atol=1e-8)
 
 
 class TestDarcyModel:
@@ -274,7 +283,7 @@ class TestBandedOperatorProperties:
         op = BandedStiffness(problem, reference)
         u0 = op.solve(problem.f_int)
         xibars = expansion.modes[:, problem.mesh.triangles].mean(axis=2)
-        rhs = problem.gradient_rhs((op.coef * xibars, u0))
+        rhs = op.first_order_rhs(xibars, u0)
         together = op.solve(rhs)
         one_by_one = np.column_stack([op.solve(rhs[:, j]) for j in range(rhs.shape[1])])
         np.testing.assert_allclose(together, one_by_one, rtol=0, atol=1e-13 * np.abs(one_by_one).max())
@@ -326,6 +335,44 @@ class TestBandedOperatorProperties:
             before = model.solve_count
             getattr(model, call)(expansion, reference)
             assert model.solve_count - before == expected, (model.name, call)
+
+
+class TestFirstOrderRightHandSides:
+    @pytest.mark.parametrize("shifted", [False, True], ids=["centered", "shifted"])
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_matches_loop_oracle(self, darcy_operator_cases, level, shifted):
+        """The one-product scatter against a per-triangle, per-mode loop, for
+        the mode directions and, under shifted laws, the mean direction."""
+        problem, centered, uncentered = darcy_operator_cases[level]
+        expansion = uncentered if shifted else centered
+        directions = expansion.modes
+        if shifted:
+            mean_dir = expansion.coefficient_means() @ expansion.modes
+            directions = np.vstack([directions, mean_dir])
+        # a non-constant field, so the conductivity differs between triangles
+        std = np.sqrt(expansion.coefficient_variances())
+        reference = expansion.x0 + (0.5 * std) @ expansion.modes
+        op = BandedStiffness(problem, reference)
+        u0 = op.solve(problem.f_int)
+        xibars = directions[:, problem.mesh.triangles].mean(axis=2)
+        got = op.first_order_rhs(xibars, u0)
+        want = gradient_rhs_loop(problem.mesh, reference, directions, u0)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+class TestProblemMemory:
+    def test_level_6_problem_holds_no_dense_matrix(self):
+        """Building the level-6 problem stays below a quarter of one dense
+        N x N array (143 MB at N = 4225)."""
+        mesh = build_unit_square_mesh(6)
+        bound = mesh.n_nodes ** 2 * 8 / 4
+        tracemalloc.start()
+        try:
+            DarcyProblem(mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
 
 
 class TestStudyObservations:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -243,3 +245,30 @@ class TestAgainstTermByTermOracle:
             )
         assert np.array_equal(got.correlation, got.correlation.T)
         assert np.array_equal(got.covariance, got.covariance.T)
+
+
+class TestMemoryProfile:
+    def test_peak_is_at_most_four_square_arrays(self):
+        """At Z = 1001 and M = 100 one expansion holds at most four Z x Z
+        arrays at once: the two outputs plus working buffers."""
+        z, m, k = 1001, 100, 3
+        rng = np.random.default_rng(11)
+        ev = ModelEvaluations(
+            q0=rng.normal(size=k),
+            dq_modes=rng.normal(size=(m, k)),
+            r0=rng.normal(size=z),
+            dr_modes=rng.normal(size=(m, z)),
+            d2r_diag=rng.normal(size=(m, z)),
+            d2r_meandir=rng.normal(size=z),
+            reference=np.zeros(3),
+        )
+        meas = MeasurementSetup(data=rng.normal(size=k), sigma=SpdMatrix(np.eye(k)))
+        laws = tuple(CoefficientLaw.standard_normal() for _ in range(m))
+        tracemalloc.start()
+        try:
+            moments = expand_posterior_moments(ev, meas, laws, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert moments.covariance.shape == (z, z)
+        assert peak <= 4 * z * z * 8, f"peak {peak / (z * z * 8):.2f} Z x Z arrays"

@@ -10,6 +10,8 @@ from postpert.fem import (
     point_eval_matrix,
 )
 
+from oracles import dense_mass
+
 
 class TestMeshConstruction:
     def test_level_1_counts(self):
@@ -51,11 +53,20 @@ class TestAssembly:
     def test_mass_integrates_linear_functions(self, mesh_level_2):
         """M applied to 1 gives nodal integrals; against x the result is exact."""
         mesh = mesh_level_2
-        m = assemble_mass(mesh)
+        sparse = assemble_mass(mesh)
         x = mesh.nodes[:, 0]
-        # int_D x dx over the unit square
-        assert np.ones(mesh.n_nodes) @ m @ x == pytest.approx(0.5, rel=1e-13)
-        assert m.sum() == pytest.approx(1.0, rel=1e-13)
+        for m in (sparse, sparse.toarray()):
+            # int_D x dx over the unit square
+            assert np.ones(mesh.n_nodes) @ (m @ x) == pytest.approx(0.5, rel=1e-13)
+            assert m.sum() == pytest.approx(1.0, rel=1e-13)
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+    def test_sparse_mass_equals_dense_oracle(self, level):
+        """The sparse assembly sums the same triplets to the same bits."""
+        mesh = build_unit_square_mesh(level)
+        m = assemble_mass(mesh)
+        assert m.format == "csr"
+        np.testing.assert_array_equal(m.toarray(), dense_mass(mesh))
 
     def test_load_vector_total(self, mesh_level_3):
         f = load_vector(mesh_level_3, density=2.5)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 from postpert.errors import DimensionMismatch, NotSpd, SolverFailure
-from postpert.fem import assemble_mass
+from postpert.fem import assemble_mass, build_unit_square_mesh
 from postpert.linalg import (
     SpdMatrix,
     field_l2_norm,
@@ -10,7 +13,7 @@ from postpert.linalg import (
     tensor_l2_norm,
 )
 
-from oracles import gauss_solve, generalized_eigenvalues
+from oracles import dense_mass, gauss_solve, generalized_eigenvalues
 
 DARCY_SIGMA = (np.ones((5, 5)) + 4.0 * np.eye(5)) / 1000.0
 # closed form: inverse of 0.001*(4I + ones) acting on e1
@@ -99,7 +102,8 @@ class TestGeneralizedEig:
         nodes = mesh.nodes
         d2 = ((nodes[:, None, :] - nodes[None, :, :]) ** 2).sum(axis=2)
         kernel_at_nodes = np.exp(-(20.0 / 3.0) * d2)
-        mass = assemble_mass(mesh)
+        # the Cholesky reduction needs dense entries
+        mass = assemble_mass(mesh).toarray()
         a = mass @ kernel_at_nodes @ mass
         a = 0.5 * (a + a.T)
         m = SpdMatrix(mass)
@@ -112,41 +116,86 @@ class TestGeneralizedEig:
             assert np.linalg.norm(a @ v - lam * (m.entries @ v)) < 1e-9
 
 
+def _both_forms(dense):
+    """A mass matrix as the norms receive it: dense, and as a csr_array."""
+    return (np.asarray(dense, dtype=float), csr_array(dense))
+
+
 class TestFieldNorm:
     def test_euclidean(self):
-        assert field_l2_norm(np.eye(2), [3.0, 4.0]) == pytest.approx(5.0)
+        for m in _both_forms(np.eye(2)):
+            assert field_l2_norm(m, [3.0, 4.0]) == pytest.approx(5.0)
 
     def test_diagonal_mass(self):
-        m = np.diag([0.5, 0.5])
-        assert field_l2_norm(m, [1.0, 1.0]) == pytest.approx(1.0)
+        for m in _both_forms(np.diag([0.5, 0.5])):
+            assert field_l2_norm(m, [1.0, 1.0]) == pytest.approx(1.0)
 
     def test_constant_field_integrates_domain(self, mesh_level_3):
         """The mass norm of the constant 1 equals the unit square's area."""
-        m = assemble_mass(mesh_level_3)
-        assert field_l2_norm(m, np.ones(mesh_level_3.n_nodes)) == pytest.approx(
-            1.0, rel=1e-12
-        )
-        assert m.sum() == pytest.approx(1.0, rel=1e-12)
+        sparse = assemble_mass(mesh_level_3)
+        for m in (sparse, sparse.toarray()):
+            assert field_l2_norm(m, np.ones(mesh_level_3.n_nodes)) == pytest.approx(
+                1.0, rel=1e-12
+            )
+            assert m.sum() == pytest.approx(1.0, rel=1e-12)
+
+    def test_shape_checks(self):
+        for m in _both_forms(np.eye(3)):
+            with pytest.raises(DimensionMismatch):
+                field_l2_norm(m, np.ones(2))
+        with pytest.raises(DimensionMismatch):
+            field_l2_norm(csr_array(np.eye(3, 4)), np.ones(3))
 
 
 class TestTensorNorm:
     def test_identity(self):
-        assert tensor_l2_norm(np.eye(2), np.eye(2)) == pytest.approx(
-            np.sqrt(2.0)
-        )
+        for m in _both_forms(np.eye(2)):
+            assert tensor_l2_norm(m, np.eye(2)) == pytest.approx(np.sqrt(2.0))
 
     def test_rank_one_euclidean(self):
         u = np.array([1.0, 2.0, 2.0])
         v = np.array([0.0, 3.0, 4.0])
-        got = tensor_l2_norm(np.eye(3), np.outer(u, v))
-        assert got == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v))
+        for m in _both_forms(np.eye(3)):
+            got = tensor_l2_norm(m, np.outer(u, v))
+            assert got == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v))
 
     def test_rank_one_mass_weighted(self, mesh_level_2):
-        m = assemble_mass(mesh_level_2)
+        sparse = assemble_mass(mesh_level_2)
         rng = np.random.default_rng(5)
         u = rng.normal(size=mesh_level_2.n_nodes)
         v = rng.normal(size=mesh_level_2.n_nodes)
-        got = tensor_l2_norm(m, np.outer(u, v))
-        assert got == pytest.approx(
-            field_l2_norm(m, u) * field_l2_norm(m, v), rel=1e-10
-        )
+        for m in (sparse, sparse.toarray()):
+            got = tensor_l2_norm(m, np.outer(u, v))
+            assert got == pytest.approx(
+                field_l2_norm(m, u) * field_l2_norm(m, v), rel=1e-10
+            )
+
+    def test_shape_checks(self):
+        for m in _both_forms(np.eye(3)):
+            with pytest.raises(DimensionMismatch):
+                tensor_l2_norm(m, np.eye(2))
+            with pytest.raises(DimensionMismatch):
+                tensor_l2_norm(m, np.ones((3, 2)))
+
+
+_MESHES = {level: build_unit_square_mesh(level) for level in (2, 3)}
+
+
+class TestSparseMassAgainstDenseOracle:
+    """Both norms on the sparse assembly against c^T D c and trace(D K D K^T)
+    on the np.add.at oracle, for random fields and tensors."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(level=st.sampled_from(sorted(_MESHES)), seed=st.integers(0, 2 ** 32 - 1))
+    def test_norms_match(self, level, seed):
+        mesh = _MESHES[level]
+        dense = dense_mass(mesh)
+        sparse = assemble_mass(mesh)
+        rng = np.random.default_rng(seed)
+        c = rng.normal(size=mesh.n_nodes)
+        k = rng.normal(size=(mesh.n_nodes, mesh.n_nodes))
+        field_sq = c @ dense @ c
+        tensor_sq = np.trace(dense @ k @ dense @ k.T)
+        for m in (sparse, dense):
+            np.testing.assert_allclose(field_l2_norm(m, c) ** 2, field_sq, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(tensor_l2_norm(m, k) ** 2, tensor_sq, rtol=1e-13, atol=0)

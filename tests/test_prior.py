@@ -107,6 +107,13 @@ class TestAffineExpansion:
         with pytest.raises(DimensionMismatch):
             self._expansion().realize(np.zeros(3))
 
+    @pytest.mark.parametrize("alpha", [np.inf, np.nan, -np.inf])
+    def test_non_finite_alpha_is_rejected(self, alpha):
+        with pytest.raises(DimensionMismatch, match="finite"):
+            self._expansion(alpha=alpha)
+        with pytest.raises(DimensionMismatch, match="finite"):
+            self._expansion().with_alpha(alpha)
+
 
 class TestKle:
     def test_trace_bounded_by_kernel_diagonal(self, mesh_level_3):
