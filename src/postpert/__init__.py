@@ -28,7 +28,6 @@ from .estimators import (
 from .linalg import (
     SpdMatrix,
     field_l2_norm,
-    generalized_sym_eig,
     tensor_l2_norm,
 )
 from .model_api import (

@@ -112,7 +112,7 @@ def assemble_mass(mesh: TriangularMesh):
 
     Duplicate (row, column) triplets of neighbouring elements are summed by
     the COO-to-CSR conversion.  Callers that need dense entries (the KLE's
-    generalized eigenproblem) call .toarray() on their own copy.
+    dense generalized eigensolve) call .toarray() on their own copy.
     """
     # scipy.sparse is imported here, not at module level, so that processes
     # which never assemble a mass matrix do not load it
@@ -125,21 +125,6 @@ def assemble_mass(mesh: TriangularMesh):
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
     return csr_array((vals.ravel(), (rows, cols)), shape=(n, n))
-
-
-def assemble_weighted_stiffness(mesh: TriangularMesh, tri_coef) -> np.ndarray:
-    """Stiffness matrix with a piecewise-constant coefficient per triangle."""
-    c = np.asarray(tri_coef, dtype=float)
-    if c.shape != (mesh.n_triangles,):
-        raise DimensionMismatch("one coefficient per triangle expected")
-    n = mesh.n_nodes
-    vals = c[:, None, None] * local_stiffness(mesh)
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    a = np.zeros((n, n))
-    np.add.at(a, (rows, cols), vals.ravel())
-    return a
 
 
 def load_vector(mesh: TriangularMesh, density: float = 1.0) -> np.ndarray:

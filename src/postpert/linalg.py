@@ -5,10 +5,10 @@ Conventions:
     matrix together with a lazily computed Cholesky factor,
   - weighted inner products <u, v>_S = u^T S^{-1} v are always evaluated
     through the Cholesky factor, never through an explicit inverse,
-  - generalized symmetric eigenproblems a v = lambda m v are reduced with
-    the Cholesky factor of m and handed to a dense symmetric eigensolver,
   - the mass-weighted norms take the mass matrix as a dense array or as a
-    scipy.sparse matrix and touch it only through products m @ x.
+    scipy.sparse matrix and touch it only through products m @ x,
+  - there is no eigensolver here: prior.build_kle hands its Galerkin pencil
+    to scipy.linalg.eigh itself.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import ConvergenceFailure, DimensionMismatch, EmptyBasis, NotSpd, SolverFailure
+from .errors import DimensionMismatch, NotSpd, SolverFailure
 
 # Relative asymmetry tolerated before a matrix is rejected outright.
 _SYM_RTOL = 1e-12
@@ -90,6 +90,19 @@ def _as_mass(mass):
     return m
 
 
+def _root_of_square(val: float, operand) -> float:
+    """Norm from its computed square.
+
+    Overflowing terms of both signs sum to NaN or to -inf (BLAS dot
+    products differ) although the square of a finite operand is positive,
+    so a non-finite square of a finite operand is an overflow and the norm
+    is inf.  Roundoff can leave a tiny negative square for an operand ~ 0.
+    """
+    if not np.isfinite(val) and np.isfinite(operand).all():
+        return np.inf
+    return float(np.sqrt(max(val, 0.0)))
+
+
 def field_l2_norm(mass, coeffs) -> float:
     """Norm sqrt(c^T (M c)) of a nodal field c in the mass inner product.
 
@@ -100,10 +113,9 @@ def field_l2_norm(mass, coeffs) -> float:
     if c.shape != (m.shape[0],):
         raise DimensionMismatch(f"coefficients {c.shape} do not fit mass matrix {m.shape}")
     # overflow in huge fields is reported as inf, not as a warning
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         val = float(c @ (m @ c))
-    # roundoff can leave a tiny negative value for c ~ 0
-    return float(np.sqrt(max(val, 0.0)))
+    return _root_of_square(val, c)
 
 
 def tensor_l2_norm(mass, k) -> float:
@@ -117,59 +129,6 @@ def tensor_l2_norm(mass, k) -> float:
     kk = _as_square(k)
     if kk.shape != m.shape:
         raise DimensionMismatch(f"tensor {kk.shape} does not fit mass matrix {m.shape}")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         val = float(np.sum((m @ kk) * (kk @ m)))
-    return float(np.sqrt(max(val, 0.0)))
-
-
-def generalized_sym_eig(
-    a, m: SpdMatrix, count_or_tol=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a v = lambda m v for a symmetric and m SPD.
-
-    The problem is reduced to standard form with the Cholesky factor of m
-    and solved densely.  Returns (values, vectors) like np.linalg.eigh, but
-    with values non-increasing; vectors[:, k] belongs to values[k] and the
-    vectors are m-orthonormal.
-
-    count_or_tol selects the truncation rule:
-      - None: keep everything,
-      - int k: keep the k largest eigenvalues,
-      - float tol: keep eigenvalues with lambda_i > tol * lambda_1.
-    """
-    a = _as_square(a)
-    if a.shape[0] != m.n:
-        raise DimensionMismatch(f"operand {a.shape} does not match weight {m.n}")
-    _check_symmetric(a, "left-hand operand")
-
-    L = m.factor
-    half = solve_triangular(L, a, lower=True)
-    b = solve_triangular(L, half.T, lower=True)
-    b = 0.5 * (b + b.T)
-    try:
-        values, vecs = np.linalg.eigh(b)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"dense eigensolver failed: {exc}") from exc
-    order = np.argsort(values)[::-1]
-    values = values[order]
-    vecs = vecs[:, order]
-
-    if count_or_tol is None:
-        keep = values.size
-    elif isinstance(count_or_tol, (int, np.integer)):
-        if count_or_tol < 1:
-            raise DimensionMismatch("requested mode count must be >= 1")
-        keep = min(int(count_or_tol), values.size)
-    else:
-        tol = float(count_or_tol)
-        if tol <= 0.0:
-            raise DimensionMismatch("relative truncation tolerance must be > 0")
-        lead = values[0] if values.size else 0.0
-        if lead <= 0.0:
-            raise EmptyBasis("leading eigenvalue is not positive")
-        keep = int(np.sum(values > tol * lead))
-        if keep == 0:
-            raise EmptyBasis("no eigenvalue passed the truncation threshold")
-
-    vectors = solve_triangular(L.T, vecs[:, :keep], lower=False)
-    return values[:keep], vectors
+    return _root_of_square(val, kk)

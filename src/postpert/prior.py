@@ -11,12 +11,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, eigh
 
-from .errors import DimensionMismatch, EmptyBasis
+from .errors import ConvergenceFailure, DimensionMismatch, EmptyBasis, NotSpd
 from .fem import TriangularMesh, assemble_mass
-from .linalg import SpdMatrix, generalized_sym_eig
 
 _LAW_KINDS = ("uniform-symmetric", "uniform-shifted", "standard-normal")
+
+# Kernel entries evaluated at a time by build_kle (one row block, 16 MB).
+KERNEL_BLOCK_ENTRIES = 2 ** 21
+# Consecutive KLE eigenvalues at most this times lambda_1 apart share a cluster.
+CLUSTER_RTOL = 1e-10
+# Seed of the Gaussian probe that fixes the basis of each cluster.
+MODE_PROBE_SEED = 20250
+# Eigenpairs asked for by the first subset eigensolve of build_kle.
+_FIRST_SUBSET = 32
 
 
 @dataclass(frozen=True)
@@ -151,37 +160,129 @@ class KleBasis:
 
 
 def gaussian_kernel(gamma: float):
-    """Covariance kernel k(x, y) = exp(-gamma |x - y|^2)."""
+    """Covariance kernel k(x, y) = exp(-gamma |x - y|^2) between point sets.
+
+    The kernel maps (n, d) and (m, d) point arrays to the (n, m) matrix of
+    values.  It builds |x - y|^2 from one np.subtract.outer per coordinate,
+    squared and summed in place, and exponentiates in place, so an (n, m)
+    call holds two (n, m) arrays and no (n, m, d) one.  gamma must be
+    finite and non-negative; anything else raises DimensionMismatch.
+    """
+    gamma = float(gamma)
+    if not 0.0 <= gamma < np.inf:
+        raise DimensionMismatch(f"kernel gamma must be finite and >= 0, got {gamma}")
 
     def kernel(x, y):
         x = np.atleast_2d(x)
         y = np.atleast_2d(y)
-        d2 = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
-        return np.exp(-gamma * d2)
+        d2 = np.subtract.outer(x[:, 0], y[:, 0])
+        d2 *= d2
+        for axis in range(1, x.shape[1]):
+            diff = np.subtract.outer(x[:, axis], y[:, axis])
+            diff *= diff
+            d2 += diff
+        d2 *= -gamma
+        return np.exp(d2, out=d2)
 
     return kernel
 
 
 def build_kle(kernel, mesh: TriangularMesh, tol: float) -> KleBasis:
-    """Galerkin discretization of the covariance operator, then eigenpairs.
+    """Galerkin discretization of the covariance operator, then its leading eigenpairs.
 
     The double integral over triangle pairs uses a one-point centroid rule,
     under which each hat function contributes area/3 per incident triangle.
-    Modes with lambda_i > tol * lambda_1 are retained; the eigenfields come
-    out mass-orthonormal, i.e. with unit L2 norm.
-    """
-    # the Cholesky reduction of the eigenproblem works on dense entries
-    mass = assemble_mass(mesh).toarray()
-    p = np.zeros((mesh.n_triangles, mesh.n_nodes))
-    rows = np.repeat(np.arange(mesh.n_triangles), 3)
-    np.add.at(p, (rows, mesh.triangles.ravel()), np.repeat(mesh.areas / 3.0, 3))
-    kmat = kernel(mesh.centroids, mesh.centroids)
-    galerkin = p.T @ kmat @ p
-    galerkin = 0.5 * (galerkin + galerkin.T)
+    With that rule as a sparse (T, N) projection P and the centroid kernel
+    matrix K, the Galerkin matrix is G = P^T K P.  K is evaluated in row
+    blocks of about KERNEL_BLOCK_ENTRIES entries and each block's share
+    P_rows^T (K_rows P) is added to G at once, so K is never held whole.
 
-    # the relative threshold raises EmptyBasis when no mode passes it
-    values, vectors = generalized_sym_eig(galerkin, SpdMatrix(mass), float(tol))
-    return KleBasis(eigenvalues=values, eigenfields=vectors.T.copy())
+    The leading pairs of G v = lambda M v (M the P1 mass matrix) come from
+    one subset eigensolve; when the smallest pair returned still passes the
+    threshold, the solve is repeated for four times as many, up to N.
+    Modes with lambda_i > tol * lambda_1 are retained, with non-increasing
+    eigenvalues; the eigenfields come out mass-orthonormal, i.e. with unit
+    L2 norm, in the canonical basis of _canonical_modes.
+
+    Raises DimensionMismatch for tol <= 0, NotSpd for a non-finite Galerkin
+    matrix, ConvergenceFailure when the eigensolver fails and EmptyBasis
+    when no mode passes the threshold.
+    """
+    # scipy.sparse is imported here, as in fem.assemble_mass, so that
+    # processes which never build a KLE do not load it
+    from scipy.sparse import csr_array
+
+    tol = float(tol)
+    if not tol > 0.0:
+        raise DimensionMismatch("relative truncation tolerance must be > 0")
+    t, n = mesh.n_triangles, mesh.n_nodes
+    rows = np.repeat(np.arange(t), 3)
+    p = csr_array((np.repeat(mesh.areas / 3.0, 3), (rows, mesh.triangles.ravel())), shape=(t, n))
+
+    galerkin = np.zeros((n, n))
+    step = max(1, KERNEL_BLOCK_ENTRIES // t)
+    for start in range(0, t, step):
+        block = p[start : start + step]
+        # a row block of P touches only the nodes lo..hi-1, so only those
+        # rows of G receive its share
+        lo, hi = block.indices.min(), block.indices.max() + 1
+        projected = kernel(mesh.centroids[start : start + step], mesh.centroids) @ p
+        galerkin[lo:hi] += block[:, lo:hi].T @ projected
+    if not np.isfinite(galerkin).all():
+        raise NotSpd("Galerkin matrix of the kernel has non-finite entries")
+
+    mass = assemble_mass(mesh)
+    dense_mass = mass.toarray()
+    count = min(n, _FIRST_SUBSET)
+    while True:
+        try:
+            # eigh reads the lower triangles only, so G need not be symmetrized
+            values, vectors = eigh(
+                galerkin, dense_mass, subset_by_index=[n - count, n - 1], check_finite=False
+            )
+        except LinAlgError as exc:
+            raise ConvergenceFailure(f"generalized eigensolver failed: {exc}") from exc
+        values, vectors = values[::-1], vectors[:, ::-1]
+        if values[0] <= 0.0:
+            raise EmptyBasis("leading eigenvalue is not positive")
+        if values[-1] <= tol * values[0] or count == n:
+            break
+        count = min(n, 4 * count)
+
+    keep = int(np.sum(values > tol * values[0]))
+    if keep == 0:
+        raise EmptyBasis("no eigenvalue passed the truncation threshold")
+    values = values[:keep].copy()
+    fields = _canonical_modes(values, vectors[:, :keep], mass)
+    return KleBasis(eigenvalues=values, eigenfields=fields)
+
+
+def _canonical_modes(values, vectors, mass) -> np.ndarray:
+    """Eigenfields (one per row) in a basis fixed inside each cluster.
+
+    A cluster is a run of consecutive eigenvalues whose gaps are at most
+    CLUSTER_RTOL * lambda_1; a lone eigenvalue is a cluster of one.  The
+    mass-orthonormal columns V of a cluster of c modes are rotated by the Q
+    of the QR factorization (W^T M V)^T = Q R with diag(R) > 0, where the
+    columns of W are the first c rows of a Gaussian probe seeded with
+    MODE_PROBE_SEED.  W^T M (V Q) = R^T then depends on the eigenspace
+    only, so the modes do not move with the solver, its BLAS rounding or
+    its sign conventions.  For c = 1 this is the sign rule w^T M v > 0.
+    """
+    n, count = vectors.shape
+    bounds = np.flatnonzero(-np.diff(values) > CLUSTER_RTOL * values[0]) + 1
+    starts = np.concatenate(([0], bounds))
+    stops = np.concatenate((bounds, [count]))
+    width = int((stops - starts).max())
+    # row j of the probe does not depend on how many rows are drawn
+    probe = np.random.default_rng(MODE_PROBE_SEED).standard_normal((width, n))
+    weighted = probe @ (mass @ vectors)  # entry (j, k) is w_j^T M v_k
+    fields = np.empty((count, n))
+    for a, b in zip(starts, stops):
+        q, r = np.linalg.qr(weighted[: b - a, a:b].T)
+        q *= np.where(np.diag(r) < 0.0, -1.0, 1.0)
+        fields[a:b] = (vectors[:, a:b] @ q).T
+    return fields
 
 
 def brownian_bridge_modes(n_modes: int, tgrid) -> np.ndarray:

@@ -3,7 +3,9 @@
 Everything here is deliberately written from scratch with plain loops and
 textbook algorithms, avoiding the library's own linear algebra and any
 numpy.linalg decompositions, so that agreement between a library result and
-an oracle result is evidence rather than tautology.
+an oracle result is evidence rather than tautology.  kle_full_eigh is the
+one exception: it checks the library's subset eigensolve on sparse pieces
+against a full dense scipy eigensolve of the same pencil.
 """
 
 from __future__ import annotations
@@ -11,6 +13,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from postpert.errors import DimensionMismatch
+from postpert.fem import local_stiffness
+from postpert.prior import CLUSTER_RTOL, MODE_PROBE_SEED
 
 
 def gauss_solve(a, b):
@@ -131,6 +137,86 @@ def dense_mass(mesh):
     cols = np.tile(tri, (1, 3)).ravel()
     np.add.at(m, (rows, cols), vals.ravel())
     return m
+
+
+def assemble_weighted_stiffness(mesh, tri_coef):
+    """Dense N x N stiffness matrix of a piecewise-constant coefficient.
+
+    The per-triangle Laplace matrices are scattered with np.add.at, the
+    dense reference for the library's banded assembly.
+    """
+    c = np.asarray(tri_coef, dtype=float)
+    if c.shape != (mesh.n_triangles,):
+        raise DimensionMismatch("one coefficient per triangle expected")
+    n = mesh.n_nodes
+    vals = c[:, None, None] * local_stiffness(mesh)
+    tri = mesh.triangles
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    a = np.zeros((n, n))
+    np.add.at(a, (rows, cols), vals.ravel())
+    return a
+
+
+def broadcast_gaussian_kernel(gamma):
+    """exp(-gamma |x - y|^2) through one (n, m, d) broadcast difference."""
+
+    def kernel(x, y):
+        x = np.atleast_2d(x)
+        y = np.atleast_2d(y)
+        d2 = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+        return np.exp(-gamma * d2)
+
+    return kernel
+
+
+def kle_galerkin(kernel, mesh):
+    """Dense centroid-rule Galerkin matrix P^T K P with a dense projection P."""
+    p = np.zeros((mesh.n_triangles, mesh.n_nodes))
+    rows = np.repeat(np.arange(mesh.n_triangles), 3)
+    np.add.at(p, (rows, mesh.triangles.ravel()), np.repeat(mesh.areas / 3.0, 3))
+    g = p.T @ kernel(mesh.centroids, mesh.centroids) @ p
+    return 0.5 * (g + g.T)
+
+
+def kle_full_eigh(kernel, mesh, tol):
+    """Reference KLE: every eigenpair of the dense pencil, then the cluster rule.
+
+    A full scipy.linalg.eigh of (kle_galerkin, dense_mass) replaces the
+    library's subset solve on sparse pieces.  The canonical basis is the
+    one build_kle documents, written as plain loops: consecutive eigenvalues
+    at most CLUSTER_RTOL * lambda_1 apart form a cluster, and each cluster
+    V is replaced by V Q where Q comes from Gram-Schmidt on the columns of
+    (W^T M V)^T, W the first c rows of the seeded probe.  Returns
+    (eigenvalues, eigenfields) like KleBasis.
+    """
+    from scipy.linalg import eigh
+
+    m = dense_mass(mesh)
+    values, vectors = eigh(kle_galerkin(kernel, mesh), m)
+    values, vectors = values[::-1], vectors[:, ::-1]
+    keep = int(np.sum(values > tol * values[0]))
+    values, vectors = values[:keep], vectors[:, :keep].copy()
+
+    clusters = [[0]]
+    for i in range(1, keep):
+        if values[i - 1] - values[i] <= CLUSTER_RTOL * values[0]:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    width = max(len(c) for c in clusters)
+    probe = np.random.default_rng(MODE_PROBE_SEED).standard_normal((width, mesh.n_nodes))
+    for cluster in clusters:
+        v = vectors[:, cluster]
+        cols = (probe[: len(cluster)] @ m @ v).T
+        q = np.zeros_like(cols)
+        for j in range(len(cluster)):
+            w = cols[:, j].copy()
+            for i in range(j):
+                w -= (q[:, i] @ cols[:, j]) * q[:, i]
+            q[:, j] = w / math.sqrt(w @ w)
+        vectors[:, cluster] = v @ q
+    return values, vectors.T
 
 
 def gradient_rhs_loop(mesh, b, directions, u):

@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import postpert
 from postpert.darcy import (
     OBSERVATION_POINTS,
     STUDY_OBSERVATIONS,
@@ -17,11 +22,12 @@ from postpert.darcy import (
     darcy_noise_covariance,
 )
 from postpert.errors import DimensionMismatch, SolverFailure
-from postpert.fem import assemble_weighted_stiffness, build_unit_square_mesh, load_vector
+from postpert.fem import build_unit_square_mesh, load_vector
 from postpert.model_api import evaluate_at
-from postpert.prior import AffineExpansion, CoefficientLaw
+from postpert.prior import CLUSTER_RTOL, AffineExpansion, CoefficientLaw
 
 from oracles import (
+    assemble_weighted_stiffness,
     fourier_poisson_center,
     gauss_solve,
     gradient_rhs_loop,
@@ -191,6 +197,56 @@ class TestKleBasis:
         for mass in (sparse, sparse.toarray()):
             gram = basis.eigenfields @ (mass @ basis.eigenfields.T)
             np.testing.assert_allclose(gram, np.eye(len(lam)), atol=1e-8)
+
+    def test_modes_agree_across_blas_thread_counts(self, tmp_path):
+        """Level-4 KLEs from processes with one and with two OpenBLAS threads.
+
+        LAPACK's rounding, signs and in-pair rotations move with the thread
+        count; the canonical basis does not.  Modes inside a degenerate
+        pair agree to 1e-12.  A distinct eigenvalue fixes its mode only to
+        about eps * lambda_1 / gap, and the closest distinct pair here is
+        4.1e-7 * lambda_1 apart, so the bound over all modes is 1e-10.
+        """
+        script = (
+            "import sys, numpy as np\n"
+            "from postpert.darcy import build_darcy_kle\n"
+            "from postpert.fem import build_unit_square_mesh\n"
+            "b = build_darcy_kle(build_unit_square_mesh(4), 1e-3)\n"
+            "np.save(sys.argv[1], np.column_stack([b.eigenvalues, b.eigenfields]))\n"
+        )
+        src = str(Path(postpert.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"kle-{threads}.npy"
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+            )
+            subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True)
+            runs.append(np.load(out))
+        lam = runs[0][:, 0]
+        diff = np.abs(runs[0][:, 1:] - runs[1][:, 1:]).max(axis=1)
+        close = lam[:-1] - lam[1:] <= CLUSTER_RTOL * lam[0]
+        paired = np.concatenate((close, [False])) | np.concatenate(([False], close))
+        assert runs[0].shape == (24, 290) and paired.sum() >= 8
+        np.testing.assert_allclose(runs[1][:, 0], lam, rtol=0, atol=1e-15 * lam[0])
+        assert diff[paired].max() <= 1e-12
+        assert diff.max() <= 1e-10
+
+    def test_level_5_build_peaks_far_below_the_dense_one(self):
+        """Under tracemalloc, build_darcy_kle(L5) peaked at 122 MiB while it
+        held the whole kernel, a dense projection and a full eigensolve, and
+        peaks at about 58 MiB with row blocks and a subset solve."""
+        mesh = build_unit_square_mesh(5)
+        tracemalloc.start()
+        try:
+            build_darcy_kle(mesh, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 90 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 class TestDarcyModel:

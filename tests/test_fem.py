@@ -4,13 +4,12 @@ import pytest
 from postpert.errors import DimensionMismatch, PointOutsideMesh
 from postpert.fem import (
     assemble_mass,
-    assemble_weighted_stiffness,
     build_unit_square_mesh,
     load_vector,
     point_eval_matrix,
 )
 
-from oracles import dense_mass
+from oracles import assemble_weighted_stiffness, dense_mass
 
 
 class TestMeshConstruction:

@@ -9,11 +9,10 @@ from postpert.fem import assemble_mass, build_unit_square_mesh
 from postpert.linalg import (
     SpdMatrix,
     field_l2_norm,
-    generalized_sym_eig,
     tensor_l2_norm,
 )
 
-from oracles import dense_mass, gauss_solve, generalized_eigenvalues
+from oracles import dense_mass, gauss_solve
 
 DARCY_SIGMA = (np.ones((5, 5)) + 4.0 * np.eye(5)) / 1000.0
 # closed form: inverse of 0.001*(4I + ones) acting on e1
@@ -86,36 +85,6 @@ class TestSpdMatrix:
             SpdMatrix([[1.0, 0.5], [0.0, 1.0]])
 
 
-class TestGeneralizedEig:
-    def test_diagonal(self):
-        values, vectors = generalized_sym_eig(np.diag([3.0, 1.0]), SpdMatrix(np.eye(2)))
-        assert np.allclose(values, [3.0, 1.0])
-        assert np.allclose(np.abs(vectors), np.eye(2))
-
-    def test_degenerate_spectrum(self):
-        values, _ = generalized_sym_eig(np.eye(2), SpdMatrix(np.eye(2)))
-        assert np.allclose(values, [1.0, 1.0])
-
-    def test_kernel_galerkin_matrix_against_oracle(self, mesh_level_2):
-        """Dense generalized eigenvalues agree with the rotation-based oracle."""
-        mesh = mesh_level_2
-        nodes = mesh.nodes
-        d2 = ((nodes[:, None, :] - nodes[None, :, :]) ** 2).sum(axis=2)
-        kernel_at_nodes = np.exp(-(20.0 / 3.0) * d2)
-        # the Cholesky reduction needs dense entries
-        mass = assemble_mass(mesh).toarray()
-        a = mass @ kernel_at_nodes @ mass
-        a = 0.5 * (a + a.T)
-        m = SpdMatrix(mass)
-
-        values, vectors = generalized_sym_eig(a, m)
-        expected = generalized_eigenvalues(a, m.entries)
-        assert np.allclose(values, expected, rtol=0, atol=1e-10)
-        # returned vectors must actually solve the pencil
-        for lam, v in zip(values[:5], vectors.T[:5]):
-            assert np.linalg.norm(a @ v - lam * (m.entries @ v)) < 1e-9
-
-
 def _both_forms(dense):
     """A mass matrix as the norms receive it: dense, and as a csr_array."""
     return (np.asarray(dense, dtype=float), csr_array(dense))
@@ -145,6 +114,14 @@ class TestFieldNorm:
                 field_l2_norm(m, np.ones(2))
         with pytest.raises(DimensionMismatch):
             field_l2_norm(csr_array(np.eye(3, 4)), np.ones(3))
+
+
+    def test_overflow_of_both_signs_is_an_infinite_norm(self):
+        """c_i (M c)_i overflows to -inf and +inf here; c^T M c = 7e400."""
+        c = np.array([1e200, 3e200])
+        for m in _both_forms([[1.0, -0.5], [-0.5, 1.0]]):
+            assert field_l2_norm(m, c) == np.inf
+            assert tensor_l2_norm(m, np.outer(c, [1.0, 1.0])) == np.inf
 
 
 class TestTensorNorm:

@@ -2,17 +2,30 @@ import csv
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from postpert import prior
 from postpert.cli import StudyConfig, run_kle_dump
 from postpert.darcy import KERNEL_GAMMA
-from postpert.errors import DimensionMismatch, EmptyBasis
-from postpert.fem import build_unit_square_mesh
+from postpert.errors import ConvergenceFailure, DimensionMismatch, EmptyBasis, NotSpd
+from postpert.fem import assemble_mass, build_unit_square_mesh
 from postpert.prior import (
+    CLUSTER_RTOL,
+    KERNEL_BLOCK_ENTRIES,
+    MODE_PROBE_SEED,
     AffineExpansion,
     CoefficientLaw,
     brownian_bridge_modes,
     build_kle,
     gaussian_kernel,
+)
+
+from oracles import (
+    broadcast_gaussian_kernel,
+    dense_mass,
+    generalized_eigenvalues,
+    kle_full_eigh,
+    kle_galerkin,
 )
 
 
@@ -132,6 +145,113 @@ class TestKle:
         assert basis.eigenvalues[0] == pytest.approx(1.0, rel=1e-6)
         spread = basis.eigenfields[0].max() - basis.eigenfields[0].min()
         assert spread < 1e-6
+
+    def test_non_finite_galerkin_matrix_raises_not_spd(self, mesh_level_2):
+        def broken(x, y):
+            return np.full((len(x), len(y)), np.nan)
+
+        with pytest.raises(NotSpd, match="non-finite"):
+            build_kle(broken, mesh_level_2, 1e-3)
+
+    def test_eigensolver_failure_becomes_convergence_failure(self, mesh_level_2, monkeypatch):
+        def failing(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("the leading minor of order 3 is not positive")
+
+        monkeypatch.setattr(prior, "eigh", failing)
+        with pytest.raises(ConvergenceFailure, match="leading minor"):
+            build_kle(gaussian_kernel(KERNEL_GAMMA), mesh_level_2, 1e-3)
+
+    def test_spectrum_descends_with_mass_orthonormal_modes(self, mesh_level_3):
+        basis = build_kle(gaussian_kernel(KERNEL_GAMMA), mesh_level_3, 1e-6)
+        lam = basis.eigenvalues
+        assert len(lam) > 32  # past the first subset solve
+        assert np.all(np.diff(lam) <= 0.0)
+        gram = basis.eigenfields @ (assemble_mass(mesh_level_3) @ basis.eigenfields.T)
+        np.testing.assert_allclose(gram, np.eye(len(lam)), rtol=0, atol=1e-12)
+
+    def test_eigenpairs_solve_the_galerkin_pencil(self, mesh_level_2):
+        """Eigenvalues against the Jacobi oracle on the dense pencil, and each
+        returned mode against the pencil residual G v - lambda M v."""
+        basis = build_kle(gaussian_kernel(KERNEL_GAMMA), mesh_level_2, 1e-8)
+        g = kle_galerkin(broadcast_gaussian_kernel(KERNEL_GAMMA), mesh_level_2)
+        m = dense_mass(mesh_level_2)
+        lam = basis.eigenvalues
+        expected = generalized_eigenvalues(g, m)[: len(lam)]
+        np.testing.assert_allclose(lam, expected, rtol=0, atol=1e-13 * lam[0])
+        for value, field in zip(lam, basis.eigenfields):
+            residual = g @ field - value * (m @ field)
+            assert np.abs(residual).max() <= 1e-14 * lam[0]
+
+    def test_degenerate_pairs_get_the_canonical_basis(self):
+        """The mesh is symmetric under swapping x and y, so the spectrum has
+        equal pairs.  Both modes of a pair are kept, and W^T M V is lower
+        triangular with a positive diagonal for the probe rows W."""
+        mesh = build_unit_square_mesh(4)
+        basis = build_kle(gaussian_kernel(KERNEL_GAMMA), mesh, 1e-3)
+        lam = basis.eigenvalues
+        pairs = np.flatnonzero(lam[:-1] - lam[1:] <= CLUSTER_RTOL * lam[0])
+        assert len(pairs) >= 4
+        probe = np.random.default_rng(MODE_PROBE_SEED).standard_normal((2, mesh.n_nodes))
+        mass = assemble_mass(mesh)
+        for i in pairs:
+            np.testing.assert_allclose(lam[i + 1], lam[i], rtol=1e-13, atol=0)
+            proj = probe @ (mass @ basis.eigenfields[i : i + 2].T)
+            assert abs(proj[0, 1]) <= 1e-12 * np.abs(proj).max()
+            assert proj[0, 0] > 0.0 and proj[1, 1] > 0.0
+
+    @pytest.mark.parametrize("level", [3, 4])
+    def test_modes_match_full_dense_eigh(self, level):
+        """Mode by mode against every eigenpair of the dense pencil, put in
+        the same canonical basis: subset solve, sparse projection and row
+        blocks change nothing beyond rounding."""
+        mesh = build_unit_square_mesh(level)
+        basis = build_kle(gaussian_kernel(KERNEL_GAMMA), mesh, 1e-3)
+        values, fields = kle_full_eigh(broadcast_gaussian_kernel(KERNEL_GAMMA), mesh, 1e-3)
+        np.testing.assert_allclose(basis.eigenvalues, values, rtol=1e-13, atol=0)
+        assert basis.eigenfields.shape == fields.shape
+        assert np.abs(basis.eigenfields - fields).max() <= 1e-10
+
+    def test_kernel_is_asked_for_one_row_block_at_a_time(self):
+        mesh = build_unit_square_mesh(5)
+        kernel = gaussian_kernel(KERNEL_GAMMA)
+        calls = []
+
+        def recording(x, y):
+            calls.append((x.copy(), len(y)))
+            return kernel(x, y)
+
+        build_kle(recording, mesh, 1e-3)
+        assert len(calls) > 1
+        assert all(len(x) * m <= KERNEL_BLOCK_ENTRIES for x, m in calls)
+        # the blocks are the centroid rows in order, each once
+        np.testing.assert_array_equal(np.vstack([x for x, _ in calls]), mesh.centroids)
+
+    def test_block_size_changes_only_rounding(self, mesh_level_3, monkeypatch):
+        kernel = gaussian_kernel(KERNEL_GAMMA)
+        whole = build_kle(kernel, mesh_level_3, 1e-3)
+        monkeypatch.setattr(prior, "KERNEL_BLOCK_ENTRIES", 7 * mesh_level_3.n_triangles)
+        blocked = build_kle(kernel, mesh_level_3, 1e-3)
+        np.testing.assert_allclose(blocked.eigenvalues, whole.eigenvalues, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(blocked.eigenfields, whole.eigenfields, rtol=0, atol=1e-10)
+
+
+class TestGaussianKernel:
+    @pytest.mark.parametrize("gamma", [0.0, 1e-12, KERNEL_GAMMA, 250.0])
+    def test_bitwise_equal_to_broadcast_formula(self, gamma):
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-1.0, 2.0, size=(37, 2))
+        y = rng.uniform(-1.0, 2.0, size=(53, 2))
+        got = gaussian_kernel(gamma)(x, y)
+        assert got.shape == (37, 53)
+        np.testing.assert_array_equal(got, broadcast_gaussian_kernel(gamma)(x, y))
+        np.testing.assert_array_equal(
+            gaussian_kernel(gamma)(x[0], y), broadcast_gaussian_kernel(gamma)(x[0], y)
+        )
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, -1e6, -1e-300])
+    def test_gamma_must_be_finite_and_non_negative(self, gamma):
+        with pytest.raises(DimensionMismatch, match="gamma"):
+            gaussian_kernel(gamma)
 
 
 class TestBrownianBridgeModes:
