@@ -12,7 +12,6 @@ from .errors import (
     NotSpd,
     PointOutsideMesh,
     PostpertError,
-    SingularPrior,
     SolverFailure,
 )
 from .expansion import (
@@ -45,7 +44,7 @@ from .prior import (
     build_kle,
     gaussian_kernel,
 )
-from .refine import RefineState, refine_step, run_refinement, tikhonov_gradient
+from .refine import RefineState, refine_step, run_refinement
 
 __version__ = "0.1.0"
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -40,7 +41,7 @@ from .errors import Diverged, IoFailure, PostpertError
 from .estimators import SampleBudget, estimate_posterior_sweep
 from .expansion import expand_posterior_moments
 from .fem import build_unit_square_mesh
-from .lv import OBSERVED_DATA, build_lotka_volterra, lv_noise_covariance
+from .lv import OBSERVED_DATA, build_lotka_volterra
 from .model_api import MeasurementSetup, evaluate_at, generate_data
 from .refine import STOP_TOL, run_refinement
 
@@ -201,9 +202,7 @@ def study_measurement(cfg: StudyConfig, model, expansion) -> MeasurementSetup:
     """
     if cfg.model == "darcy":
         return generate_data(model, expansion.with_alpha(1.0), cfg.seed)
-    return MeasurementSetup(
-        np.asarray(OBSERVED_DATA, dtype=float), lv_noise_covariance(cfg.sigma_scale)
-    )
+    return MeasurementSetup(np.asarray(OBSERVED_DATA, dtype=float), model.noise_covariance())
 
 
 def reference_budget(cfg: StudyConfig):
@@ -261,10 +260,11 @@ class RefinementRecord:
 def run_convergence_study(cfg: StudyConfig) -> list:
     """Expansion-versus-reference errors over the alpha sweep.
 
-    The model is linearized once; every alpha reuses those solves, which is
-    asserted through the model's solve counter.  Reference estimation is the
-    only per-alpha model work and may run on a thread pool.  A failing
-    estimate marks its rows instead of aborting the sweep.
+    The model is linearized once; the expansion takes only that derivative
+    bundle, so every alpha reuses its solves.  Reference estimation is the
+    only per-alpha model work and may run on a thread pool.  An alpha is
+    expanded only once its reference estimate exists.  A failing estimate
+    marks its rows instead of aborting the sweep.
     """
     cfg = cfg.validate()
     model, expansion = build_study_model(cfg)
@@ -273,13 +273,6 @@ def run_convergence_study(cfg: StudyConfig) -> list:
     quantities = cfg.quantities()
 
     evals = evaluate_at(model, expansion)
-    solves_after_base = model.solve_count
-    expanded = {
-        alpha: expand_posterior_moments(evals, meas, expansion.laws, alpha)
-        for alpha in cfg.alphas
-    }
-    if model.solve_count != solves_after_base:
-        raise PostpertError("the alpha sweep must reuse the base model solves")
 
     def reference_rows(alpha: float) -> list:
         start = time.perf_counter()
@@ -295,11 +288,14 @@ def run_convergence_study(cfg: StudyConfig) -> list:
         except PostpertError as exc:
             status = f"failed:{type(exc).__name__}"
         elapsed = time.perf_counter() - start
+        expanded = None
+        if ref is not None:
+            expanded = expand_posterior_moments(evals, meas, expansion.laws, alpha)
         rows = []
         for quantity in quantities:
             err = noise = math.nan
             if ref is not None:
-                err = _moment_error(model, quantity, expanded[alpha], ref)
+                err = _moment_error(model, quantity, expanded, ref)
                 if half is not None:
                     noise = _moment_error(model, quantity, ref, half)
             rows.append((quantity, err, noise, status, elapsed))
@@ -439,10 +435,8 @@ def _fmt(value: float) -> str:
 
 
 def _sibling_path(path: str, tag: str) -> str:
-    root, dot, ext = str(path).rpartition(".")
-    if not dot:
-        return f"{path}{tag}"
-    return f"{root}{tag}.{ext}"
+    root, ext = os.path.splitext(str(path))
+    return f"{root}{tag}{ext}"
 
 
 def _write_rows(path, header, rows, what: str) -> None:

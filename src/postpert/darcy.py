@@ -58,6 +58,8 @@ OBSERVATION_POINTS = np.array(
 )
 
 KERNEL_GAMMA = 20.0 / 3.0
+# Mean of every coefficient law of the uncentered prior (centered=False).
+UNCENTERED_OFFSET = 0.1
 
 
 def _triangle_means(mesh: TriangularMesh, nodal: np.ndarray) -> np.ndarray:
@@ -228,7 +230,6 @@ class DarcyModel(ForwardModel):
             raise DimensionMismatch(f"unknown Darcy prediction {prediction!r}")
         self.problem = problem
         self.prediction = prediction
-        self.name = f"darcy-{prediction}"
 
     @property
     def parameter_dim(self) -> int:
@@ -327,7 +328,6 @@ def build_darcy(
     mesh_level: int,
     kle_tol: float = 1e-3,
     centered: bool = True,
-    offset: float = 0.1,
     prediction: str = "r2",
 ):
     """Model plus matching prior expansion around the constant reference b = 1."""
@@ -338,7 +338,8 @@ def build_darcy(
         laws = tuple(CoefficientLaw.uniform_symmetric(np.sqrt(v)) for v in basis.eigenvalues)
     else:
         laws = tuple(
-            CoefficientLaw.uniform_shifted(np.sqrt(v), offset) for v in basis.eigenvalues
+            CoefficientLaw.uniform_shifted(np.sqrt(v), UNCENTERED_OFFSET)
+            for v in basis.eigenvalues
         )
     expansion = AffineExpansion(
         x0=np.ones(mesh.n_nodes), modes=basis.eigenfields, laws=laws

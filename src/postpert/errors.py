@@ -21,10 +21,6 @@ class EmptyBasis(PostpertError):
     """A truncation rule retained no modes."""
 
 
-class SingularPrior(PostpertError):
-    """A coefficient law has zero variance where positivity is required."""
-
-
 class SolverFailure(PostpertError):
     """A model solve failed (non-finite data, factorization breakdown, ...)."""
 

@@ -127,11 +127,11 @@ def assemble_mass(mesh: TriangularMesh):
     return csr_array((vals.ravel(), (rows, cols)), shape=(n, n))
 
 
-def load_vector(mesh: TriangularMesh, density: float = 1.0) -> np.ndarray:
-    """Load vector of a constant source term (one-point rule is exact here)."""
+def load_vector(mesh: TriangularMesh) -> np.ndarray:
+    """Load vector of the unit source term (one-point rule is exact here)."""
     f = np.zeros(mesh.n_nodes)
     np.add.at(f, mesh.triangles.ravel(), np.repeat(mesh.areas / 3.0, 3))
-    return density * f
+    return f
 
 
 def point_eval_matrix(mesh: TriangularMesh, points) -> np.ndarray:

@@ -194,8 +194,6 @@ class LvState:
 class LotkaVolterraModel(ForwardModel):
     """Forward model whose parameter is the perturbation path itself."""
 
-    name = "lotka-volterra"
-
     def __init__(self, n_steps: int = 1000, sigma_scale: float = 10.0):
         super().__init__()
         self.n_steps = n_steps

@@ -85,8 +85,6 @@ class ForwardModel:
     how much work a study performed.
     """
 
-    name = "abstract"
-
     def __init__(self):
         self.solve_count = 0
 
@@ -174,7 +172,7 @@ def generate_data(model: ForwardModel, expansion: AffineExpansion, seed: int) ->
     """
     rng = np.random.default_rng(seed)
     native = np.array([law.sample_native(rng, None) for law in expansion.laws])
-    truth = expansion.realize(native)
+    truth = expansion.realize_batch(native[None])[0]
     clean = model.observe(truth)
     sigma = model.noise_covariance()
     noise = sigma.factor @ rng.standard_normal(sigma.n)

@@ -125,14 +125,6 @@ class AffineExpansion:
     def with_alpha(self, alpha: float) -> "AffineExpansion":
         return AffineExpansion(self.x0, self.modes, self.laws, alpha)
 
-    def realize(self, native_draws) -> np.ndarray:
-        """Field for one vector of law-native draws."""
-        u = np.asarray(native_draws, dtype=float)
-        if u.shape != (self.n_modes,):
-            raise DimensionMismatch(f"expected {self.n_modes} draws, got {u.shape}")
-        z = np.array([law.map_draw(d) for law, d in zip(self.laws, u)])
-        return self.x0 + self.alpha * (z @ self.modes)
-
     def realize_batch(self, native_draws) -> np.ndarray:
         """Fields for a (batch, n_modes) block of law-native draws."""
         u = np.asarray(native_draws, dtype=float)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Diverged, PostpertError, SingularPrior
+from .errors import Diverged, PostpertError
 from .model_api import ForwardModel, MeasurementSetup, data_coupling
 from .prior import AffineExpansion
 
@@ -116,28 +116,3 @@ def run_refinement(
             break
     return state.reference_point(expansion), state
 
-
-def tikhonov_gradient(
-    y,
-    model: ForwardModel,
-    expansion: AffineExpansion,
-    meas: MeasurementSetup,
-) -> np.ndarray:
-    """Gradient of the regularized misfit in reference coefficients.
-
-    g_j = -<delta - Q(x(y)), dq_j at x(y)>_Sigma
-          + (y_j - alpha E[z_j]) / (alpha^2 Var[z_j])
-
-    The refinement direction equals -alpha^2 Var[z_j] g_j, which tests
-    verify by computing both sides independently.
-    """
-    y = np.asarray(y, dtype=float)
-    variances = expansion.coefficient_variances()
-    if np.any(variances <= 0.0):
-        raise SingularPrior("Tikhonov gradient needs strictly positive variances")
-    alpha = expansion.alpha
-    x = expansion.point_from_shift(y)
-    q, dq = model.linearize(expansion, x)
-    coupled = data_coupling(meas, q, dq)
-    prior_pull = (y - alpha * expansion.coefficient_means()) / (alpha ** 2 * variances)
-    return -coupled + prior_pull

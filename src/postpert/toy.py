@@ -18,8 +18,6 @@ from .prior import AffineExpansion
 class ConjugateGaussianModel(ForwardModel):
     """Scalar model Q(x) = q0 + q1 x with identity prediction R(x) = x."""
 
-    name = "conjugate-gaussian"
-
     def __init__(self, q0: float, q1: float, noise_var: float):
         super().__init__()
         self.q0 = float(q0)
@@ -73,8 +71,6 @@ class PolynomialToyModel(ForwardModel):
     derivatives, so expansion truncation errors scale as genuine powers of
     the perturbation size rather than collapsing to zero.
     """
-
-    name = "polynomial-toy"
 
     def __init__(self, noise=((0.04, 0.008), (0.008, 0.05))):
         super().__init__()

@@ -33,7 +33,7 @@ from postpert.lv import (
 )
 from postpert.model_api import MeasurementSetup, evaluate_at
 from postpert.prior import AffineExpansion, CoefficientLaw
-from postpert.refine import RefineState, refine_step, run_refinement, tikhonov_gradient
+from postpert.refine import RefineState, refine_step, run_refinement
 from postpert.toy import ConjugateGaussianModel, PolynomialToyModel
 
 from oracles import (
@@ -42,6 +42,7 @@ from oracles import (
     laplace_importance_mean,
     observed_order,
     predator_prey_invariant,
+    tikhonov_gradient,
 )
 
 QUANTITIES = ("mean", "correlation", "covariance")

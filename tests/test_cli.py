@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import postpert.cli
 from postpert.cli import (
     StudyConfig,
     _fmt,
@@ -122,6 +123,8 @@ class TestFormattingHelpers:
         assert _sibling_path("out.csv", "-final") == "out-final.csv"
         assert _sibling_path("report", "-final") == "report-final"
         assert _sibling_path("a/b.c/out.csv", "-final") == "a/b.c/out-final.csv"
+        assert _sibling_path("./refine", "-final") == "./refine-final"
+        assert _sibling_path("results.d/refine", "-final") == "results.d/refine-final"
 
 
 def _converge_args(out, *extra):
@@ -184,6 +187,34 @@ class TestConvergeCommand:
         assert main(_converge_args(out)[:-4] + ["--alphas", alphas, "--output", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: alphas")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "reference, expansions, samples",
+        [(["--reference", "none"], 0, 0), (["--reference", "qmc", "--samples", "64"], 2, 128)],
+        ids=["none", "qmc"],
+    )
+    def test_sweep_reuses_one_bundle(self, tmp_path, monkeypatch, reference, expansions, samples):
+        """The sweep costs one forward solve for the synthetic data, one r2
+        derivative bundle (1 + 2M solves) and the reference samples, and
+        expands an alpha only against a reference."""
+        real_build, real_expand = postpert.cli.build_study_model, expand_posterior_moments
+        models, calls = [], []
+
+        def build(cfg):
+            model, expansion = real_build(cfg)
+            models.append((model, expansion.n_modes))
+            return model, expansion
+
+        def expand(*args):
+            calls.append(args[-1])
+            return real_expand(*args)
+
+        monkeypatch.setattr(postpert.cli, "build_study_model", build)
+        monkeypatch.setattr(postpert.cli, "expand_posterior_moments", expand)
+        assert main(_converge_args(tmp_path / "report.csv", "--prediction", "r2", *reference)) == 0
+        (model, m), = models
+        assert model.solve_count == 1 + (1 + 2 * m) + samples
+        assert len(calls) == expansions
 
     def test_no_reference_rows_are_flagged(self, tmp_path):
         out = tmp_path / "report.csv"

@@ -14,6 +14,7 @@ import postpert
 from postpert.darcy import (
     OBSERVATION_POINTS,
     STUDY_OBSERVATIONS,
+    UNCENTERED_OFFSET,
     BandedStiffness,
     DarcyModel,
     DarcyProblem,
@@ -253,7 +254,6 @@ class TestDarcyModel:
     def test_prediction_wiring(self, mesh_level_2):
         model_r1, _ = build_darcy(2, kle_tol=1e-2, prediction="r1")
         model_r2, _ = build_darcy(2, kle_tol=1e-2, prediction="r2")
-        assert (model_r1.name, model_r2.name) == ("darcy-r1", "darcy-r2")
         assert model_r1.field_norm_name == "l2"
         b = np.ones(model_r1.parameter_dim)
         states = model_r1.solve_state_batch(b[None])
@@ -271,8 +271,8 @@ class TestDarcyModel:
         np.testing.assert_array_equal(expansion.coefficient_means(), 0.0)
 
     def test_uncentered_laws_shift_every_mode(self):
-        _, expansion = build_darcy(2, kle_tol=1e-2, centered=False, offset=0.1)
-        np.testing.assert_allclose(expansion.coefficient_means(), 0.1)
+        _, expansion = build_darcy(2, kle_tol=1e-2, centered=False)
+        np.testing.assert_array_equal(expansion.coefficient_means(), UNCENTERED_OFFSET)
 
     def test_evaluation_affine_branch(self, darcy_level_2):
         model, expansion = darcy_level_2
@@ -390,7 +390,7 @@ class TestBandedOperatorProperties:
         ):
             before = model.solve_count
             getattr(model, call)(expansion, reference)
-            assert model.solve_count - before == expected, (model.name, call)
+            assert model.solve_count - before == expected, (model.prediction, call)
 
 
 class TestFirstOrderRightHandSides:

@@ -68,8 +68,8 @@ class TestAssembly:
         np.testing.assert_array_equal(m.toarray(), dense_mass(mesh))
 
     def test_load_vector_total(self, mesh_level_3):
-        f = load_vector(mesh_level_3, density=2.5)
-        assert f.sum() == pytest.approx(2.5, rel=1e-13)
+        f = load_vector(mesh_level_3)
+        assert f.sum() == pytest.approx(1.0, rel=1e-13)
 
     def test_weighted_stiffness_requires_tri_values(self, mesh_level_2):
         with pytest.raises(DimensionMismatch):

@@ -145,7 +145,7 @@ class TestGenerateData:
         meas = generate_data(model, expansion, seed=11)
         rng = np.random.default_rng(11)
         native = np.array([law.sample_native(rng, None) for law in expansion.laws])
-        clean = model.observe(expansion.realize(native))
+        clean = model.observe(expansion.realize_batch(native[None])[0])
         assert np.allclose(meas.data, clean, atol=1e-9)
 
     def test_noise_sample_covariance(self, toy_pair):
@@ -157,7 +157,7 @@ class TestGenerateData:
             meas = generate_data(model, expansion, seed=seed)
             rng = np.random.default_rng(seed)
             native = np.array([law.sample_native(rng, None) for law in expansion.laws])
-            clean = model.observe(expansion.realize(native))
+            clean = model.observe(expansion.realize_batch(native[None])[0])
             residuals[seed] = meas.data - clean
         sample = np.cov(residuals.T)
         # 1e4 draws give entrywise standard errors of a few 1e-4

@@ -84,9 +84,9 @@ class TestAffineExpansion:
 
     def test_realize_applies_scale_and_laws(self):
         exp = self._expansion()
-        got = exp.realize(np.array([1.0, -1.0]))
+        got = exp.realize_batch(np.array([[1.0, -1.0]]))
         # z = (2.0, -0.75), scaled by alpha = 0.5
-        np.testing.assert_allclose(got, [1.0 + 1.0, 2.0 - 0.375, 3.0 + 0.375])
+        np.testing.assert_allclose(got, [[1.0 + 1.0, 2.0 - 0.375, 3.0 + 0.375]])
 
     def test_realize_batch_matches_loop(self):
         exp = self._expansion()
@@ -94,7 +94,8 @@ class TestAffineExpansion:
         u = rng.uniform(-1.0, 1.0, size=(6, 2))
         batch = exp.realize_batch(u)
         for k in range(6):
-            np.testing.assert_allclose(batch[k], exp.realize(u[k]))
+            z = np.array([law.map_draw(d) for law, d in zip(exp.laws, u[k])])
+            np.testing.assert_allclose(batch[k], exp.x0 + exp.alpha * (z @ exp.modes))
 
     def test_point_from_shift_ignores_alpha(self):
         exp = self._expansion(alpha=0.125)
@@ -118,7 +119,7 @@ class TestAffineExpansion:
         with pytest.raises(DimensionMismatch):
             self._expansion(alpha=0.0)
         with pytest.raises(DimensionMismatch):
-            self._expansion().realize(np.zeros(3))
+            self._expansion().realize_batch(np.zeros((1, 3)))
 
     @pytest.mark.parametrize("alpha", [np.inf, np.nan, -np.inf])
     def test_non_finite_alpha_is_rejected(self, alpha):

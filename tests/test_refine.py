@@ -8,15 +8,10 @@ from postpert.darcy import STUDY_OBSERVATIONS, darcy_noise_covariance
 from postpert.errors import Diverged, PostpertError
 from postpert.model_api import MeasurementSetup
 from postpert.prior import AffineExpansion, CoefficientLaw
-from postpert.refine import (
-    RefineState,
-    refine_step,
-    run_refinement,
-    tikhonov_gradient,
-)
+from postpert.refine import RefineState, refine_step, run_refinement
 from postpert.toy import ConjugateGaussianModel
 
-from oracles import conjugate_posterior_1d
+from oracles import conjugate_posterior_1d, tikhonov_gradient
 
 
 def _scalar_setup(q1=1.0, noise_var=1.0, prior_std=0.1, delta=0.1):
