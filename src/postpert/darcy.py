@@ -25,6 +25,16 @@ columns come from one sparse product with the direction weights s.  Second
 derivatives have one element vector per direction and go through the same
 structure as a 0/1 scatter of (M, T, 3) element vectors.
 
+Observation derivatives come from K adjoint solves, not from the M mode
+derivatives: with A lambda_k = O_k^T on the interior rows (A is symmetric),
+
+    dq_jk = O_k w1_j = -sum_T exp(b)_T xibar_jT  lambda_k|_T . (G_T u_T),
+
+and the centroid average xibar_j = P^T xi_j moves onto the adjoint side, so
+dq = -modes @ P (exp(b) * e) with e_kT = lambda_k|_T . (G_T u_T) and P the
+sparse (N x T) centroid-averaging scatter.  Every entry point takes dq this
+way; the M solves for w1 run only where the pressure prediction needs dR.
+
 The P1 mass matrix, which defines the error norms, is held as a
 scipy.sparse csr_array.
 
@@ -135,6 +145,8 @@ class DarcyProblem:
         self._band_flat = (ii[keep] - jj[keep]) * self.n_int + jj[keep]
         self._band_shape = (self.semi_bw + 1, self.n_int)
         self.f_int = self.load[idx]
+        # adjoint right-hand sides O_k^T on the interior rows, one column each
+        self._obs_int = np.asfortranarray(self.obs_matrix[:, idx].T)
 
         # The scatter structure: row i holds the flattened element-vector
         # slots 3 T + k whose vertex is interior vertex i, in increasing slot
@@ -147,6 +159,13 @@ class DarcyProblem:
             shape=(self.n_int, 3 * mesh.n_triangles),
         )
         self._scatter_tri = self._scatter.indices // 3
+        # P, the (N x T) centroid-averaging scatter: P^T v holds the centroid
+        # values of a nodal field v
+        t = mesh.n_triangles
+        self._centroid = csr_array(
+            (np.full(3 * t, 1.0 / 3.0), (mesh.triangles.ravel(), np.arange(3 * t) // 3)),
+            shape=(mesh.n_nodes, t),
+        )
 
     def solve_banded(self, b_nodal) -> np.ndarray:
         """Forward solve through the banded Cholesky path."""
@@ -182,6 +201,24 @@ class BandedStiffness:
         out[self.problem.mesh.interior] = x
         return out
 
+    def _element_vectors(self, u) -> np.ndarray:
+        """Element vectors G_T u_T of a nodal field u, shaped (T, 3)."""
+        problem = self.problem
+        return np.einsum("tij,tj->ti", problem._local, u[problem.mesh.triangles])
+
+    def observed_first_order(self, modes, u) -> np.ndarray:
+        """Derivatives (M, K) of the observations O u along the nodal
+        directions modes (M, N), from K adjoint solves A lambda = O_int^T.
+
+        dq = -modes @ P (coef * e) with e_kT = lambda_k|_T . (G_T u_T); no
+        (M, T) table of centroid values is formed.
+        """
+        problem = self.problem
+        lam = self.solve(problem._obs_int)  # (N, K), zero on the boundary
+        e = np.einsum("tak,ta->tk", lam[problem.mesh.triangles], self._element_vectors(u))
+        e *= self.coef[:, None]
+        return -(modes @ (problem._centroid @ e))
+
     def first_order_rhs(self, xibars, u) -> np.ndarray:
         """Interior right-hand sides (n_int, M) -sum_T coef_T xibar_T (G_T u_T)
         of the first derivatives along directions with centroid values
@@ -194,7 +231,7 @@ class BandedStiffness:
         from scipy.sparse import csr_array
 
         problem = self.problem
-        g = np.einsum("tij,tj->ti", problem._local, u[problem.mesh.triangles]).ravel()
+        g = self._element_vectors(u).ravel()
         scatter = problem._scatter
         op = csr_array(
             (g[scatter.indices], problem._scatter_tri, scatter.indptr),
@@ -214,9 +251,8 @@ class BandedStiffness:
         tri = problem.mesh.triangles
         local = (2.0 * self.coef * xibars)[:, :, None] * np.einsum(
             "tij,...tj->...ti", problem._local, w1[..., tri]
-        ) + (self.coef * xibars ** 2)[:, :, None] * np.einsum(
-            "tij,tj->ti", problem._local, u[tri]
-        )  # (M, T, 3) element vectors, scattered to (n_int, M)
+        ) + (self.coef * xibars ** 2)[:, :, None] * self._element_vectors(u)
+        # (M, T, 3) element vectors, scattered to (n_int, M)
         return self.solve(-(problem._scatter @ local.reshape(len(local), -1).T))
 
 
@@ -269,24 +305,23 @@ class DarcyModel(ForwardModel):
     def tensor_error_norm(self, k) -> float:
         return tensor_l2_norm(self.problem.mass, k)
 
-    def _first_order(self, expansion: AffineExpansion, reference):
-        """Factor at the reference, its forward field u0 and the mode
-        derivatives w1 (N, M): the 1 + M solves linearize and evaluate_at share."""
+    def _observed(self, expansion: AffineExpansion, reference):
+        """Factor at the reference, its forward field u0 and the observation
+        derivatives dq (M, K): the 1 + K solves every entry point shares."""
         op = BandedStiffness(self.problem, reference)
         u0 = op.solve(self.problem.f_int)
-        xibars = _triangle_means(self.problem.mesh, expansion.modes)  # (M, T)
-        w1 = op.first_order(xibars, u0)
-        self.solve_count += 1 + expansion.n_modes
-        return op, u0, xibars, w1
+        dq = op.observed_first_order(expansion.modes, u0)
+        self.solve_count += 1 + self.observation_dim
+        return op, u0, dq
 
     def linearize(self, expansion: AffineExpansion, reference):
-        _, u0, _, w1 = self._first_order(expansion, reference)
-        return self.problem.obs_matrix @ u0, (self.problem.obs_matrix @ w1).T
+        _, u0, dq = self._observed(expansion, reference)
+        return self.problem.obs_matrix @ u0, dq
 
     def evaluate_at(self, expansion: AffineExpansion, reference) -> ModelEvaluations:
         mesh = self.problem.mesh
         ref = np.asarray(reference, dtype=float)
-        op, u0, xibars, w1 = self._first_order(expansion, ref)
+        op, u0, dq = self._observed(expansion, ref)
 
         if self.prediction == "r1":
             r0 = ref.copy()
@@ -295,9 +330,10 @@ class DarcyModel(ForwardModel):
             d2r_meandir = np.zeros_like(r0)
         else:
             r0 = u0
-            dr_modes = w1.T.copy()
+            xibars = _triangle_means(mesh, expansion.modes)  # (M, T)
+            dr_modes = op.first_order(xibars, u0).T.copy()
             d2r_diag = op.second_order(xibars, u0, dr_modes).T.copy()
-            self.solve_count += expansion.n_modes
+            self.solve_count += 2 * expansion.n_modes
 
             mean_dir = expansion.coefficient_means() @ expansion.modes
             if np.any(mean_dir != 0.0):
@@ -310,7 +346,7 @@ class DarcyModel(ForwardModel):
 
         return ModelEvaluations(
             q0=self.problem.obs_matrix @ u0,
-            dq_modes=(self.problem.obs_matrix @ w1).T,
+            dq_modes=dq,
             r0=r0,
             dr_modes=dr_modes,
             d2r_diag=d2r_diag,

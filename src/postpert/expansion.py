@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dsyr2k, dsyrk
 
 from .errors import DimensionMismatch
 from .model_api import MeasurementSetup, ModelEvaluations, data_coupling
@@ -49,13 +50,54 @@ class PosteriorMoments:
             raise DimensionMismatch("moment shapes are inconsistent")
 
 
+# Edge of the square tiles in which a computed triangle is mirrored: two
+# 128 x 128 float64 tiles (256 KiB) stay in a core's L2 cache.
+_MIRROR_TILE = 128
+_ABOVE_DIAGONAL = np.triu(np.ones((_MIRROR_TILE, _MIRROR_TILE), dtype=bool), 1)
+
+
+def _check_inputs(evals: ModelEvaluations, meas: MeasurementSetup, laws, alpha) -> None:
+    if not 0.0 < alpha < np.inf:
+        raise DimensionMismatch("scale alpha must be positive and finite")
+    m, k = evals.dq_modes.shape
+    if len(laws) != m:
+        raise DimensionMismatch(f"{len(laws)} coefficient laws for {m} modes")
+    if meas.data.shape != (k,):
+        raise DimensionMismatch(f"data {meas.data.shape} does not match {k} observations")
+
+
+def _mirrored(upper: np.ndarray) -> np.ndarray:
+    """Full symmetric C-contiguous matrix from a Fortran-ordered one whose
+    upper triangle holds the entries, as BLAS symmetric updates leave it.
+
+    The transposed view is C-contiguous with the entries in its lower
+    triangle, which is copied over the strict upper triangle tile by tile.
+    """
+    x = upper.T
+    z = len(x)
+    for i in range(0, z, _MIRROR_TILE):
+        rows = slice(i, i + _MIRROR_TILE)
+        for j in range(0, i, _MIRROR_TILE):
+            cols = slice(j, j + _MIRROR_TILE)
+            x[cols, rows] = x[rows, cols].T
+        tile = x[rows, rows]
+        n = len(tile)
+        np.copyto(tile, tile.T, where=_ABOVE_DIAGONAL[:n, :n])
+    return x
+
+
 def expand_posterior_moments(
     evals: ModelEvaluations,
     meas: MeasurementSetup,
     laws: tuple[CoefficientLaw, ...],
     alpha: float,
 ) -> PosteriorMoments:
-    """Expanded mean, correlation and covariance at one prior scale alpha."""
+    """Expanded mean, correlation and covariance at one prior scale alpha.
+
+    A non-finite or non-positive alpha, a law count other than M or data of
+    another dimension than K raise DimensionMismatch.
+    """
+    _check_inputs(evals, meas, laws, alpha)
     means = np.array([law.mean for law in laws])
     variances = np.array([law.variance for law in laws])
     dr = evals.dr_modes
@@ -66,24 +108,23 @@ def expand_posterior_moments(
     m2 = 0.5 * (variances @ evals.d2r_diag + evals.d2r_meandir)
     m2 = m2 + (variances * s) @ dr
 
-    # Three Z x Z buffers: scratch, covariance and correlation.  Scaling by
-    # 0.5 is exact, so folding it into alpha^2 and into the outer-product
-    # vector keeps the bits of 0.5 * (X + X^T) scaled afterwards.  Every term
-    # is a matrix plus its transpose or a vector's outer product with itself,
-    # so both outputs are exactly symmetric.
+    # Two Z x Z arrays, the outputs.  The covariance's upper triangle is one
+    # rank-M update alpha^2 (sqrt(v) D)^T (sqrt(v) D) into an unset array
+    # (with beta = 0 BLAS does not read it); the correlation adds the rank-2
+    # update A B^T + B A^T with A = [r0, alpha m1] and
+    # B = [r0 / 2 + u, alpha m1 / 2] to a copy of it.  Both BLAS calls read
+    # Fortran-ordered operands, so the transposed (M, Z) scaled derivatives
+    # pass without a copy.  Each triangle is then mirrored, so both outputs
+    # are exactly symmetric.
     z = r0.shape[0]
-    scratch = (variances[:, None] * dr).T @ dr
-    covariance = np.add(scratch, scratch.T, out=np.empty((z, z)))
-    covariance *= 0.5 * alpha ** 2
-    half_cross = 0.5 * (r0 + 2.0 * (alpha * m1 + alpha ** 2 * m2))
-    np.multiply(r0[:, None], half_cross, out=scratch)
-    correlation = np.add(scratch, scratch.T, out=np.empty((z, z)))
-    np.multiply(m1[:, None], m1, out=scratch)
-    scratch *= alpha ** 2
-    correlation += scratch
-    correlation += covariance
+    scaled = np.sqrt(variances)[:, None] * dr
+    covariance = dsyrk(alpha ** 2, scaled.T, c=np.empty((z, z), order="F"), overwrite_c=1)
+    u = alpha * m1 + alpha ** 2 * m2
+    a = np.array([r0, alpha * m1]).T
+    b = np.array([0.5 * r0 + u, 0.5 * alpha * m1]).T
+    correlation = dsyr2k(1.0, a, b, beta=1.0, c=covariance)
     return PosteriorMoments(
         mean=r0 + alpha * m1 + alpha ** 2 * m2,
-        correlation=correlation,
-        covariance=covariance,
+        correlation=_mirrored(correlation),
+        covariance=_mirrored(covariance),
     )

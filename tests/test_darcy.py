@@ -292,11 +292,14 @@ class TestDarcyModel:
         )
 
     def test_linearize_agrees_with_evaluation(self, darcy_level_2):
+        """linearize and both predictions' evaluate_at take Q and dQ from
+        one adjoint path, so they agree bit for bit."""
         model, expansion = darcy_level_2
         q0, dq = model.linearize(expansion, expansion.x0)
-        ev = evaluate_at(model, expansion)
-        np.testing.assert_allclose(q0, ev.q0, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(dq, ev.dq_modes, rtol=0, atol=1e-14)
+        for prediction in ("r1", "r2"):
+            ev = evaluate_at(DarcyModel(model.problem, prediction), expansion)
+            np.testing.assert_array_equal(q0, ev.q0)
+            np.testing.assert_array_equal(dq, ev.dq_modes)
 
 
 @pytest.fixture(scope="module")
@@ -356,9 +359,10 @@ class TestBandedOperatorProperties:
         if mean_dir.any():
             directions.append(mean_dir)
             second.append(ev.d2r_meandir)
+        _, dq_linearized = model.linearize(expansion, reference)
         r0 = model.predict(reference)
         steps = (2e-2, 1e-2, 5e-3)
-        errors = {"dq": [], "dr": [], "d2r": []}
+        errors = {"dq": [], "dq-linearize": [], "dr": [], "d2r": []}
         for h in steps:
             fd_q, fd_r, fd2_r = [], [], []
             for xi in directions:
@@ -369,6 +373,7 @@ class TestBandedOperatorProperties:
                 fd2_r.append((r_plus - 2.0 * r0 + r_minus) / (h * h))
             m = expansion.n_modes
             errors["dq"].append(np.linalg.norm(np.array(fd_q[:m]) - ev.dq_modes))
+            errors["dq-linearize"].append(np.linalg.norm(np.array(fd_q[:m]) - dq_linearized))
             errors["dr"].append(np.linalg.norm(np.array(fd_r[:m]) - ev.dr_modes))
             errors["d2r"].append(np.linalg.norm(np.array(fd2_r) - np.array(second)))
         for name, errs in errors.items():
@@ -378,15 +383,18 @@ class TestBandedOperatorProperties:
     @settings(max_examples=8, deadline=None)
     @given(draw=_reference_draws)
     def test_solve_counts(self, darcy_operator_cases, draw):
+        """One forward and K adjoint solves behind Q and dQ everywhere; the
+        pressure bundle adds M first- and M second-derivative solves, and two
+        more along the mean direction under shifted laws."""
         problem, expansion, reference = _draw_case(darcy_operator_cases, draw)
-        m = expansion.n_modes
+        m, k = expansion.n_modes, len(OBSERVATION_POINTS)
         shifted = bool(expansion.coefficient_means().any())
         r1, r2 = DarcyModel(problem, "r1"), DarcyModel(problem, "r2")
         for model, call, expected in (
-            (r1, "linearize", 1 + m),
-            (r2, "linearize", 1 + m),
-            (r1, "evaluate_at", 1 + m),
-            (r2, "evaluate_at", (3 if shifted else 1) + 2 * m),
+            (r1, "linearize", 1 + k),
+            (r2, "linearize", 1 + k),
+            (r1, "evaluate_at", 1 + k),
+            (r2, "evaluate_at", 1 + k + 2 * m + (2 if shifted else 0)),
         ):
             before = model.solve_count
             getattr(model, call)(expansion, reference)

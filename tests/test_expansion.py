@@ -203,6 +203,40 @@ _LAW_FAMILIES = {
 }
 
 
+def _random_case(rng, k, z, m, second, family):
+    """A random derivative bundle, measurement and law tuple."""
+    ev = ModelEvaluations(
+        q0=rng.normal(size=k),
+        dq_modes=rng.normal(size=(m, k)),
+        r0=rng.normal(size=z),
+        dr_modes=rng.normal(size=(m, z)),
+        d2r_diag=rng.normal(size=(m, z)) if second else np.zeros((m, z)),
+        d2r_meandir=rng.normal(size=z) if second else np.zeros(z),
+        reference=np.zeros(3),
+    )
+    root = rng.normal(size=(k, k))
+    sigma = SpdMatrix(root @ root.T + k * np.eye(k))
+    meas = MeasurementSetup(data=rng.normal(size=k), sigma=sigma)
+    laws = tuple(_LAW_FAMILIES[family](rng) for _ in range(m))
+    return ev, meas, laws
+
+
+def _assert_matches_oracle(ev, meas, laws, alpha):
+    got = expand_posterior_moments(ev, meas, laws, alpha)
+    want = expansion_moments(ev, meas, laws, alpha)
+    for name, value, ref in zip(
+        ("mean", "correlation", "covariance"),
+        (got.mean, got.correlation, got.covariance),
+        want,
+    ):
+        np.testing.assert_allclose(
+            value, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(), err_msg=name
+        )
+    assert np.array_equal(got.correlation, got.correlation.T)
+    assert np.array_equal(got.covariance, got.covariance.T)
+    assert got.correlation.flags.c_contiguous and got.covariance.flags.c_contiguous
+
+
 class TestAgainstTermByTermOracle:
     """The coefficient-once routine against a plain-loop evaluation of the
     module docstring's formulas, on random derivative bundles."""
@@ -219,38 +253,42 @@ class TestAgainstTermByTermOracle:
     )
     def test_matches_oracle(self, k, z, m, second, family, alpha, seed):
         rng = np.random.default_rng(seed)
-        ev = ModelEvaluations(
-            q0=rng.normal(size=k),
-            dq_modes=rng.normal(size=(m, k)),
-            r0=rng.normal(size=z),
-            dr_modes=rng.normal(size=(m, z)),
-            d2r_diag=rng.normal(size=(m, z)) if second else np.zeros((m, z)),
-            d2r_meandir=rng.normal(size=z) if second else np.zeros(z),
-            reference=np.zeros(3),
-        )
-        root = rng.normal(size=(k, k))
-        sigma = SpdMatrix(root @ root.T + k * np.eye(k))
-        meas = MeasurementSetup(data=rng.normal(size=k), sigma=sigma)
-        laws = tuple(_LAW_FAMILIES[family](rng) for _ in range(m))
+        _assert_matches_oracle(*_random_case(rng, k, z, m, second, family), alpha)
 
-        got = expand_posterior_moments(ev, meas, laws, alpha)
-        want = expansion_moments(ev, meas, laws, alpha)
-        for name, value, ref in zip(
-            ("mean", "correlation", "covariance"),
-            (got.mean, got.correlation, got.covariance),
-            want,
-        ):
-            np.testing.assert_allclose(
-                value, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(), err_msg=name
-            )
-        assert np.array_equal(got.correlation, got.correlation.T)
-        assert np.array_equal(got.covariance, got.covariance.T)
+    @pytest.mark.parametrize("z", [1, 127, 128, 129, 257])
+    def test_mirror_tile_edges(self, z):
+        """Sizes on both sides of the 128-entry mirror tile and of two tiles,
+        where a triangle is copied across a partial tile."""
+        rng = np.random.default_rng(z)
+        _assert_matches_oracle(*_random_case(rng, 2, z, 2, True, "shifted"), 0.3)
+
+
+class TestInputValidation:
+    def _case(self):
+        return _random_case(np.random.default_rng(5), 3, 4, 2, True, "centered")
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0, -0.25])
+    def test_alpha_must_be_positive_and_finite(self, alpha):
+        ev, meas, laws = self._case()
+        with pytest.raises(DimensionMismatch, match="alpha"):
+            expand_posterior_moments(ev, meas, laws, alpha)
+
+    def test_law_count_must_match_modes(self):
+        ev, meas, laws = self._case()
+        with pytest.raises(DimensionMismatch, match="laws"):
+            expand_posterior_moments(ev, meas, laws + laws[:1], 0.25)
+
+    def test_data_dimension_must_match_observations(self):
+        ev, _, laws = self._case()
+        meas = MeasurementSetup(data=np.zeros(2), sigma=SpdMatrix(np.eye(2)))
+        with pytest.raises(DimensionMismatch, match="observations"):
+            expand_posterior_moments(ev, meas, laws, 0.25)
 
 
 class TestMemoryProfile:
-    def test_peak_is_at_most_four_square_arrays(self):
-        """At Z = 1001 and M = 100 one expansion holds at most four Z x Z
-        arrays at once: the two outputs plus working buffers."""
+    def test_peak_is_two_square_arrays_plus_factors(self):
+        """At Z = 1001 and M = 100 one expansion holds two Z x Z arrays, the
+        outputs, plus working arrays of at most two (M, Z) factors."""
         z, m, k = 1001, 100, 3
         rng = np.random.default_rng(11)
         ev = ModelEvaluations(
@@ -271,4 +309,4 @@ class TestMemoryProfile:
         finally:
             tracemalloc.stop()
         assert moments.covariance.shape == (z, z)
-        assert peak <= 4 * z * z * 8, f"peak {peak / (z * z * 8):.2f} Z x Z arrays"
+        assert peak <= (2 * z * z + 2 * m * z) * 8, f"peak {peak / (z * z * 8):.3f} Z x Z arrays"
