@@ -21,9 +21,11 @@ Right-hand sides are scattered from element vectors to interior rows through
 one fixed sparse structure built with the problem.  For first derivatives the
 element vector of triangle T is s_T (G_T u_T) for every direction, so the
 structure carries the values G_T u_T as an (n_int x T) operator and all
-columns come from one sparse product with the direction weights s.  Second
-derivatives have one element vector per direction and go through the same
-structure as a 0/1 scatter of (M, T, 3) element vectors.
+columns come from one sparse product with the direction weights s.  The
+expansion reads one second-order field, sum_j Var[z_j] w2_j plus w2 along
+mu = sum_j E[z_j] mode_j.  The solve is linear, so the M + 1 weighted
+right-hand sides are summed on the element vectors and scattered as one
+column; the first derivative along mu is sum_j E[z_j] w1_j.
 
 Observation derivatives come from K adjoint solves, not from the M mode
 derivatives: with A lambda_k = O_k^T on the interior rows (A is symmetric),
@@ -33,7 +35,8 @@ derivatives: with A lambda_k = O_k^T on the interior rows (A is symmetric),
 and the centroid average xibar_j = P^T xi_j moves onto the adjoint side, so
 dq = -modes @ P (exp(b) * e) with e_kT = lambda_k|_T . (G_T u_T) and P the
 sparse (N x T) centroid-averaging scatter.  Every entry point takes dq this
-way; the M solves for w1 run only where the pressure prediction needs dR.
+way, so linearize and the r1 bundle cost 1 + K solves; the pressure bundle
+adds the M solves for w1 and one second-order solve, under any laws.
 
 The P1 mass matrix, which defines the error norms, is held as a
 scipy.sparse csr_array.
@@ -167,10 +170,6 @@ class DarcyProblem:
             shape=(mesh.n_nodes, t),
         )
 
-    def solve_banded(self, b_nodal) -> np.ndarray:
-        """Forward solve through the banded Cholesky path."""
-        return BandedStiffness(self, b_nodal).solve(self.f_int)
-
 
 class BandedStiffness:
     """Banded Cholesky factor of the interior stiffness matrix for one field b.
@@ -239,21 +238,18 @@ class BandedStiffness:
         )
         return -(op @ (self.coef * xibars).T)
 
-    def first_order(self, xibars, u) -> np.ndarray:
-        """Derivatives (N, M) of the solution u along directions with centroid
-        values xibars (M, T)."""
-        return self.solve(self.first_order_rhs(xibars, u))
-
-    def second_order(self, xibars, u, w1) -> np.ndarray:
-        """Second derivatives (N, M) along (xi_j, xi_j), given the first
-        derivatives w1, shaped (M, N) or (N,) for a single direction."""
+    def second_order(self, xibars, weights, u, w1) -> np.ndarray:
+        """sum_j weights_j D^2 u[xi_j, xi_j], shape (N,), from one solve, for
+        directions with centroid values xibars (M, T) and first derivatives
+        w1 (M, N): element vectors coef_T G_T (2 sum_j c_jT w1_j + sum_j c_jT
+        xibar_jT u) with c_jT = weights_j xibar_jT."""
         problem = self.problem
         tri = problem.mesh.triangles
-        local = (2.0 * self.coef * xibars)[:, :, None] * np.einsum(
-            "tij,...tj->...ti", problem._local, w1[..., tri]
-        ) + (self.coef * xibars ** 2)[:, :, None] * self._element_vectors(u)
-        # (M, T, 3) element vectors, scattered to (n_int, M)
-        return self.solve(-(problem._scatter @ local.reshape(len(local), -1).T))
+        c = weights[:, None] * xibars
+        vertex = 2.0 * np.einsum("mt,mtj->tj", c, w1[:, tri])
+        vertex += np.einsum("mt,mt->t", c, xibars)[:, None] * u[tri]
+        local = self.coef[:, None] * np.einsum("tij,tj->ti", problem._local, vertex)
+        return self.solve(-(problem._scatter @ local.ravel()))
 
 
 class DarcyModel(ForwardModel):
@@ -280,10 +276,10 @@ class DarcyModel(ForwardModel):
         return self.problem.mesh.n_nodes
 
     def solve_state_batch(self, xs) -> DarcyState:
-        xs = np.asarray(xs, dtype=float)
+        xs = self._parameter_batch(xs)
         us = np.empty_like(xs)
         for k in range(len(xs)):
-            us[k] = self.problem.solve_banded(xs[k])
+            us[k] = BandedStiffness(self.problem, xs[k]).solve(self.problem.f_int)
         self.solve_count += len(xs)
         return DarcyState(b=xs, u=us)
 
@@ -326,31 +322,28 @@ class DarcyModel(ForwardModel):
         if self.prediction == "r1":
             r0 = ref.copy()
             dr_modes = expansion.modes.copy()
-            d2r_diag = np.zeros_like(dr_modes)
-            d2r_meandir = np.zeros_like(r0)
+            d2r_expected = np.zeros_like(r0)
         else:
             r0 = u0
             xibars = _triangle_means(mesh, expansion.modes)  # (M, T)
-            dr_modes = op.first_order(xibars, u0).T.copy()
-            d2r_diag = op.second_order(xibars, u0, dr_modes).T.copy()
-            self.solve_count += 2 * expansion.n_modes
-
-            mean_dir = expansion.coefficient_means() @ expansion.modes
-            if np.any(mean_dir != 0.0):
-                mbar = _triangle_means(mesh, mean_dir)[None]
-                w1_mean = op.first_order(mbar, u0)[:, 0]
-                d2r_meandir = op.second_order(mbar, u0, w1_mean)[:, 0]
-                self.solve_count += 2
-            else:
-                d2r_meandir = np.zeros(mesh.n_nodes)
+            dr_modes = op.solve(op.first_order_rhs(xibars, u0)).T.copy()
+            # the mean direction joins the modes with weight 1; its centroid
+            # values and w1 are E[z] @ theirs (zero under centered laws)
+            means = expansion.coefficient_means()
+            d2r_expected = op.second_order(
+                np.vstack([xibars, means @ xibars]),
+                np.append(expansion.coefficient_variances(), 1.0),
+                u0,
+                np.vstack([dr_modes, means @ dr_modes]),
+            )
+            self.solve_count += expansion.n_modes + 1
 
         return ModelEvaluations(
             q0=self.problem.obs_matrix @ u0,
             dq_modes=dq,
             r0=r0,
             dr_modes=dr_modes,
-            d2r_diag=d2r_diag,
-            d2r_meandir=d2r_meandir,
+            d2r_expected=d2r_expected,
             reference=ref,
         )
 

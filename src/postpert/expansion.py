@@ -6,8 +6,9 @@ prediction R are polynomials in alpha whose coefficients involve only the
 model solves collected in ModelEvaluations:
 
   m1 = sum_j E[z_j] dr_j
-  m2 = ( sum_j Var[z_j] d2r_j + d2r_mean ) / 2
-     + sum_j Var[z_j] <delta - q0, dq_j>_Sigma dr_j
+  m2 = E[D^2 R[z, z]] / 2 + sum_j Var[z_j] <delta - q0, dq_j>_Sigma dr_j
+       with z = sum_j z_j mode_j, where the bundle's d2r_expected holds
+       E[D^2 R[z, z]] = sum_j Var[z_j] D^2 R[mode_j, mode_j] + D^2 R[E z, E z]
   C2 = sum_j Var[z_j] dr_j dr_j^T
 
   mean        = r0 + alpha m1 + alpha^2 m2
@@ -94,8 +95,9 @@ def expand_posterior_moments(
 ) -> PosteriorMoments:
     """Expanded mean, correlation and covariance at one prior scale alpha.
 
-    A non-finite or non-positive alpha, a law count other than M or data of
-    another dimension than K raise DimensionMismatch.
+    The laws are those the bundle was evaluated with (d2r_expected holds
+    their second moments).  A non-finite or non-positive alpha, a law count
+    other than M or data of another dimension than K raise DimensionMismatch.
     """
     _check_inputs(evals, meas, laws, alpha)
     means = np.array([law.mean for law in laws])
@@ -105,8 +107,7 @@ def expand_posterior_moments(
 
     r0 = evals.r0
     m1 = means @ dr
-    m2 = 0.5 * (variances @ evals.d2r_diag + evals.d2r_meandir)
-    m2 = m2 + (variances * s) @ dr
+    m2 = 0.5 * evals.d2r_expected + (variances * s) @ dr
 
     # Two Z x Z arrays, the outputs.  The covariance's upper triangle is one
     # rank-M update alpha^2 (sqrt(v) D)^T (sqrt(v) D) into an unset array

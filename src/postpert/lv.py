@@ -214,7 +214,7 @@ class LotkaVolterraModel(ForwardModel):
         return self.n_steps + 1
 
     def solve_state_batch(self, xs) -> LvState:
-        xs = np.asarray(xs, dtype=float)
+        xs = self._parameter_batch(xs)
         y1, y2 = _march(xs, self._obs_idx)
         snap = np.empty((len(xs), self.observation_dim))
         snap[:, 0::2], snap[:, 1::2] = y1, y2
@@ -257,8 +257,7 @@ class LotkaVolterraModel(ForwardModel):
             dq_modes=dq,
             r0=ref.copy(),
             dr_modes=expansion.modes.copy(),
-            d2r_diag=np.zeros_like(expansion.modes),
-            d2r_meandir=np.zeros_like(ref),
+            d2r_expected=np.zeros_like(ref),
             reference=ref,
         )
 

@@ -42,19 +42,18 @@ class ModelEvaluations:
     dq_modes:     first derivatives of Q along each mode, shape (M, K)
     r0:           R at the reference, shape (Z,)
     dr_modes:     first derivatives of R along each mode, shape (M, Z)
-    d2r_diag:     second derivatives of R along (mode_j, mode_j), shape (M, Z)
-    d2r_meandir:  second derivative of R along sum_j E[z_j] mode_j, shape (Z,)
+    d2r_expected: E[D^2 R[z, z]] for z = sum_j z_j mode_j under the expansion's
+                  laws, sum_j Var[z_j] D^2 R[mode_j, mode_j] + D^2 R[E z, E z], shape (Z,)
     reference:    the expansion point the solves were taken at
 
-    An affine prediction stores zeros for both second-derivative fields.
+    An affine prediction stores zeros for d2r_expected.
     """
 
     q0: np.ndarray
     dq_modes: np.ndarray
     r0: np.ndarray
     dr_modes: np.ndarray
-    d2r_diag: np.ndarray
-    d2r_meandir: np.ndarray
+    d2r_expected: np.ndarray
     reference: np.ndarray
 
     def __post_init__(self):
@@ -65,10 +64,8 @@ class ModelEvaluations:
             raise DimensionMismatch("q0 and dq_modes disagree on K")
         if self.dr_modes.shape != (m, self.r0.shape[0]):
             raise DimensionMismatch("r0 and dr_modes disagree on M or Z")
-        if self.d2r_diag.shape != self.dr_modes.shape:
-            raise DimensionMismatch("d2r_diag must be shaped like dr_modes")
-        if self.d2r_meandir.shape != self.r0.shape:
-            raise DimensionMismatch("d2r_meandir must be shaped like r0")
+        if self.d2r_expected.shape != self.r0.shape:
+            raise DimensionMismatch("d2r_expected must be shaped like r0")
 
     @property
     def n_modes(self) -> int:
@@ -111,13 +108,17 @@ class ForwardModel:
     def predict_state_batch(self, states) -> np.ndarray:
         raise NotImplementedError
 
-    def _solve_one(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.parameter_dim,):
+    def _parameter_batch(self, xs) -> np.ndarray:
+        """xs as a float (B, parameter_dim) array, else DimensionMismatch."""
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.parameter_dim:
             raise DimensionMismatch(
-                f"parameter {x.shape} does not match parameter_dim {self.parameter_dim}"
+                f"parameters {xs.shape} do not match parameter_dim {self.parameter_dim}"
             )
-        return self.solve_state_batch(x[None])
+        return xs
+
+    def _solve_one(self, x):
+        return self.solve_state_batch(np.asarray(x, dtype=float)[None])
 
     def observe(self, x) -> np.ndarray:
         return self.observe_state_batch(self._solve_one(x))[0]
@@ -150,6 +151,10 @@ class ForwardModel:
 
 def evaluate_at(model: ForwardModel, expansion: AffineExpansion, reference=None) -> ModelEvaluations:
     """Evaluate a model at a reference point (default: the expansion's x0)."""
+    if expansion.dim != model.parameter_dim:
+        raise DimensionMismatch(
+            f"expansion dim {expansion.dim} does not match parameter_dim {model.parameter_dim}"
+        )
     ref = expansion.x0 if reference is None else np.asarray(reference, dtype=float)
     if ref.shape != (expansion.dim,):
         raise DimensionMismatch(f"reference {ref.shape} does not match expansion dim")

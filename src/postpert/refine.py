@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Diverged, PostpertError
+from .errors import DimensionMismatch, Diverged, PostpertError
 from .model_api import ForwardModel, MeasurementSetup, data_coupling
 from .prior import AffineExpansion
 
@@ -91,11 +91,16 @@ def run_refinement(
 ):
     """Drive refine_step from the expansion's own reference point.
 
-    Returns (refined_reference, final_state).  A blow-up of the update norms
-    beyond 1e6 times the first one raises Diverged carrying the partial
-    state; solver breakdowns after at least one successful step are treated
-    the same way, since they are caused by the runaway reference.
+    Returns (refined_reference, final_state).  An expansion of another dim
+    than the model's parameters raises DimensionMismatch.  A blow-up of the
+    update norms beyond 1e6 times the first one raises Diverged carrying the
+    partial state; solver breakdowns after at least one successful step are
+    treated the same way, since they are caused by the runaway reference.
     """
+    if expansion.dim != model.parameter_dim:
+        raise DimensionMismatch(
+            f"expansion dim {expansion.dim} does not match parameter_dim {model.parameter_dim}"
+        )
     state = RefineState.initial(expansion.n_modes)
     bound = None
     for _ in range(max_iterations):

@@ -37,7 +37,7 @@ class ConjugateGaussianModel(ForwardModel):
         return 1
 
     def solve_state_batch(self, xs):
-        xs = np.asarray(xs, dtype=float)
+        xs = self._parameter_batch(xs)
         self.solve_count += len(xs)
         return xs
 
@@ -58,8 +58,7 @@ class ConjugateGaussianModel(ForwardModel):
             dq_modes=self.q1 * expansion.modes,
             r0=ref.copy(),
             dr_modes=expansion.modes.copy(),
-            d2r_diag=np.zeros_like(expansion.modes),
-            d2r_meandir=np.zeros_like(ref),
+            d2r_expected=np.zeros_like(ref),
             reference=ref,
         )
 
@@ -127,7 +126,7 @@ class PolynomialToyModel(ForwardModel):
 
     # -- model protocol -------------------------------------------------------
     def solve_state_batch(self, xs):
-        xs = np.asarray(xs, dtype=float)
+        xs = self._parameter_batch(xs)
         self.solve_count += len(xs)
         return xs
 
@@ -149,23 +148,18 @@ class PolynomialToyModel(ForwardModel):
         jr = self._r_jacobian(x1, x2)
         h1, h2 = self._r_hessians(x1, x2)
         modes = expansion.modes
-        self.solve_count += 1 + 2 * expansion.n_modes
-
-        d2r_diag = np.column_stack(
-            [
-                np.einsum("mi,ij,mj->m", modes, h1, modes),
-                np.einsum("mi,ij,mj->m", modes, h2, modes),
-            ]
-        )
+        self.solve_count += 1 + expansion.n_modes + 1
+        # E[D^2 R[z, z]] contracts each output Hessian with the second moment
+        # modes^T (diag(Var z) + E[z] E[z]^T) modes of the direction z
         w = expansion.coefficient_means() @ modes
-        d2r_meandir = np.array([w @ h1 @ w, w @ h2 @ w])
+        moment = modes.T @ (expansion.coefficient_variances()[:, None] * modes) + np.outer(w, w)
+        d2r_expected = np.array([np.sum(h1 * moment), np.sum(h2 * moment)])
 
         return ModelEvaluations(
             q0=np.array(self._q(x1, x2)),
             dq_modes=modes @ jq.T,
             r0=np.array(self._r(x1, x2)),
             dr_modes=modes @ jr.T,
-            d2r_diag=d2r_diag,
-            d2r_meandir=d2r_meandir,
+            d2r_expected=d2r_expected,
             reference=ref,
         )

@@ -5,7 +5,10 @@ textbook algorithms, avoiding the library's own linear algebra and any
 numpy.linalg decompositions, so that agreement between a library result and
 an oracle result is evidence rather than tautology.  kle_full_eigh is the
 one exception: it checks the library's subset eigensolve on sparse pieces
-against a full dense scipy eigensolve of the same pencil.
+against a full dense scipy eigensolve of the same pencil.  one_mode_bundle
+and expected_curvature_by_direction are the others: they call the library's
+evaluate_at one direction at a time, so that a bundle's one weighted
+second-order field can be checked direction by direction.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import numpy as np
 
 from postpert.errors import DimensionMismatch
 from postpert.fem import local_stiffness
-from postpert.prior import CLUSTER_RTOL, MODE_PROBE_SEED
+from postpert.model_api import evaluate_at
+from postpert.prior import CLUSTER_RTOL, MODE_PROBE_SEED, AffineExpansion, CoefficientLaw
 
 
 def gauss_solve(a, b):
@@ -450,18 +454,17 @@ def expansion_moments(evals, meas, laws, alpha):
     n_modes, n_obs = np.shape(evals.dq_modes)
     z = len(evals.r0)
     r0, dr = evals.r0, evals.dr_modes
-    d2, d2m = evals.d2r_diag, evals.d2r_meandir
+    d2 = evals.d2r_expected
     weighted = gauss_solve(meas.sigma.entries, meas.data - evals.q0)
     coupling = [sum(evals.dq_modes[j, i] * weighted[i] for i in range(n_obs)) for j in range(n_modes)]
 
     m1 = np.zeros(z)
-    half_d2 = np.zeros(z)  # (sum_j Var[z_j] d2r_j + d2r_mean) / 2
+    half_d2 = np.zeros(z)  # E[D^2 R[z, z]] / 2
     coupled = np.zeros(z)  # sum_j Var[z_j] s_j dr_j
     for a in range(z):
-        half_d2[a] = 0.5 * d2m[a]
+        half_d2[a] = 0.5 * d2[a]
         for j, law in enumerate(laws):
             m1[a] += law.mean * dr[j, a]
-            half_d2[a] += 0.5 * law.variance * d2[j, a]
             coupled[a] += law.variance * coupling[j] * dr[j, a]
 
     mean = np.zeros(z)
@@ -481,3 +484,24 @@ def expansion_moments(evals, meas, laws, alpha):
                 + cov[a, b]
             )
     return mean, corr, cov
+
+
+def one_mode_bundle(model, reference, xi):
+    """Derivative bundle at the reference of an expansion whose one mode is
+    xi under a standard-normal law, so that its d2r_expected is D^2 R[xi, xi]."""
+    expansion = AffineExpansion(
+        x0=np.asarray(reference, dtype=float),
+        modes=np.asarray(xi, dtype=float)[None],
+        laws=(CoefficientLaw.standard_normal(),),
+    )
+    return evaluate_at(model, expansion)
+
+
+def expected_curvature_by_direction(model, expansion, reference):
+    """E[D^2 R[z, z]] at the reference, term by term from one-mode bundles:
+    sum_j Var[z_j] D^2 R[mode_j, mode_j] + D^2 R[mu, mu] with
+    mu = sum_j E[z_j] mode_j."""
+    total = one_mode_bundle(model, reference, expansion.coefficient_means() @ expansion.modes).d2r_expected
+    for law, mode in zip(expansion.laws, expansion.modes):
+        total = total + law.variance * one_mode_bundle(model, reference, mode).d2r_expected
+    return total

@@ -195,7 +195,7 @@ class TestConvergeCommand:
     )
     def test_sweep_reuses_one_bundle(self, tmp_path, monkeypatch, reference, expansions, samples):
         """The sweep costs one forward solve for the synthetic data, one r2
-        derivative bundle (1 + K + 2M solves) and the reference samples, and
+        derivative bundle (1 + K + M + 1 solves) and the reference samples, and
         expands an alpha only against a reference."""
         real_build, real_expand = postpert.cli.build_study_model, expand_posterior_moments
         models, calls = [], []
@@ -213,7 +213,7 @@ class TestConvergeCommand:
         monkeypatch.setattr(postpert.cli, "expand_posterior_moments", expand)
         assert main(_converge_args(tmp_path / "report.csv", "--prediction", "r2", *reference)) == 0
         (model, m), = models
-        assert model.solve_count == 1 + (1 + model.observation_dim + 2 * m) + samples
+        assert model.solve_count == 1 + (1 + model.observation_dim + m + 1) + samples
         assert len(calls) == expansions
 
     def test_no_reference_rows_are_flagged(self, tmp_path):

@@ -25,15 +25,17 @@ from postpert.darcy import (
 from postpert.errors import DimensionMismatch, SolverFailure
 from postpert.fem import build_unit_square_mesh, load_vector
 from postpert.model_api import evaluate_at
-from postpert.prior import CLUSTER_RTOL, AffineExpansion, CoefficientLaw
+from postpert.prior import CLUSTER_RTOL
 
 from oracles import (
     assemble_weighted_stiffness,
+    expected_curvature_by_direction,
     fourier_poisson_center,
     gauss_solve,
     gradient_rhs_loop,
     jacobi_eigenvalues,
     observed_order,
+    one_mode_bundle,
 )
 
 # Point observations of the forward solution at the constant reference b = 1,
@@ -43,12 +45,6 @@ Q0_LEVEL_3 = np.array([0.02652868, 0.01619475, 0.01619475, 0.01619475, 0.0161947
 
 def _pressure_model(mesh):
     return DarcyModel(DarcyProblem(mesh), "r2")
-
-
-def _along(model, b, xi):
-    """Derivative bundle at b of an expansion whose one mode is xi."""
-    expansion = AffineExpansion(x0=b, modes=xi[None], laws=(CoefficientLaw.standard_normal(),))
-    return evaluate_at(model, expansion)
 
 
 class TestNoiseCovariance:
@@ -98,7 +94,9 @@ class TestForwardSolve:
         dense[idx] = gauss_solve(
             assemble_weighted_stiffness(mesh, coef)[np.ix_(idx, idx)], load_vector(mesh)[idx]
         )
-        np.testing.assert_allclose(DarcyProblem(mesh).solve_banded(b), dense, rtol=0, atol=1e-13)
+        problem = DarcyProblem(mesh)
+        banded = BandedStiffness(problem, b).solve(problem.f_int)
+        np.testing.assert_allclose(banded, dense, rtol=0, atol=1e-13)
         np.testing.assert_allclose(_pressure_model(mesh).predict(b), dense, rtol=0, atol=1e-13)
 
     def test_overflowing_coefficient_raises_without_warning(self, mesh_level_2):
@@ -147,21 +145,29 @@ class TestForwardSolve:
                 entry(np.zeros(7))
         assert model.solve_count == before
 
+    def test_batch_width_validated(self, darcy_level_2):
+        model, _ = darcy_level_2
+        before = model.solve_count
+        for bad in (np.zeros((3, model.parameter_dim + 1)), np.zeros(model.parameter_dim)):
+            with pytest.raises(DimensionMismatch):
+                model.solve_state_batch(bad)
+        assert model.solve_count == before
+
 
 class TestDerivativeSolves:
     def test_constant_direction_closed_form(self, mesh_level_2):
         """Along xi = 1 the solution is exp(-t) u0, so w1 = -u0 and w2 = u0."""
         b = np.ones(mesh_level_2.n_nodes)
-        ev = _along(_pressure_model(mesh_level_2), b, np.ones(mesh_level_2.n_nodes))
+        ev = one_mode_bundle(_pressure_model(mesh_level_2), b, np.ones(mesh_level_2.n_nodes))
         np.testing.assert_allclose(ev.dr_modes[0], -ev.r0, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(ev.d2r_diag[0], ev.r0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(ev.d2r_expected, ev.r0, rtol=0, atol=1e-14)
 
     def test_first_derivative_matches_central_difference(self, mesh_level_2):
         rng = np.random.default_rng(3)
         b = 0.2 * rng.normal(size=mesh_level_2.n_nodes)
         xi = rng.normal(size=mesh_level_2.n_nodes)
         model = _pressure_model(mesh_level_2)
-        w1 = _along(model, b, xi).dr_modes[0]
+        w1 = one_mode_bundle(model, b, xi).dr_modes[0]
         h = 1e-6
         fd = (model.predict(b + h * xi) - model.predict(b - h * xi)) / (2 * h)
         np.testing.assert_allclose(w1, fd, atol=1e-8)
@@ -171,10 +177,10 @@ class TestDerivativeSolves:
         b = 0.2 * rng.normal(size=mesh_level_2.n_nodes)
         xi = rng.normal(size=mesh_level_2.n_nodes)
         model = _pressure_model(mesh_level_2)
-        ev = _along(model, b, xi)
+        ev = one_mode_bundle(model, b, xi)
         h = 1e-4
         fd = (model.predict(b + h * xi) - 2 * ev.r0 + model.predict(b - h * xi)) / (h * h)
-        np.testing.assert_allclose(ev.d2r_diag[0], fd, atol=1e-6)
+        np.testing.assert_allclose(ev.d2r_expected, fd, atol=1e-6)
 
 
 class TestKleBasis:
@@ -278,17 +284,24 @@ class TestDarcyModel:
         model, expansion = darcy_level_2
         ev = evaluate_at(model, expansion)
         np.testing.assert_array_equal(ev.dr_modes, expansion.modes)
-        np.testing.assert_array_equal(ev.d2r_diag, 0.0)
+        np.testing.assert_array_equal(ev.d2r_expected, 0.0)
         np.testing.assert_allclose(ev.q0, model.observe(expansion.x0))
 
     def test_evaluation_curvature_branch(self, mesh_level_2):
-        model, expansion = build_darcy(2, kle_tol=1e-2, centered=False, prediction="r2")
-        ev = evaluate_at(model, expansion)
-        assert ev.d2r_diag.any()
-        assert ev.d2r_meandir.any()
-        centered_model, centered_exp = build_darcy(2, kle_tol=1e-2, prediction="r2")
+        """Shifted laws keep the variances of the centered ones, so the two
+        fields differ by the second derivative along the mean direction."""
+        model, shifted = build_darcy(2, kle_tol=1e-2, centered=False, prediction="r2")
+        _, centered = build_darcy(2, kle_tol=1e-2, prediction="r2")
         np.testing.assert_array_equal(
-            evaluate_at(centered_model, centered_exp).d2r_meandir, 0.0
+            shifted.coefficient_variances(), centered.coefficient_variances()
+        )
+        field = evaluate_at(model, shifted).d2r_expected
+        centered_field = evaluate_at(model, centered).d2r_expected
+        assert field.any() and centered_field.any()
+        mean_dir = shifted.coefficient_means() @ shifted.modes
+        along_mean = one_mode_bundle(model, shifted.x0, mean_dir).d2r_expected
+        np.testing.assert_allclose(
+            field - centered_field, along_mean, rtol=0, atol=1e-12 * np.abs(along_mean).max()
         )
 
     def test_linearize_agrees_with_evaluation(self, darcy_level_2):
@@ -350,19 +363,20 @@ class TestBandedOperatorProperties:
     @settings(max_examples=8, deadline=None)
     @given(draw=_reference_draws)
     def test_r2_derivatives_match_central_differences(self, darcy_operator_cases, draw):
+        """dQ, dR along every mode, D^2 R along every mode and the mean
+        direction (each from a one-mode bundle), and the bundle's
+        E[D^2 R[z, z]], against central differences."""
         problem, expansion, reference = _draw_case(darcy_operator_cases, draw)
         model = DarcyModel(problem, "r2")
         ev = model.evaluate_at(expansion, reference)
-        directions = list(expansion.modes)
-        second = list(ev.d2r_diag)
         mean_dir = expansion.coefficient_means() @ expansion.modes
-        if mean_dir.any():
-            directions.append(mean_dir)
-            second.append(ev.d2r_meandir)
+        directions = list(expansion.modes) + [mean_dir]
+        second = np.array([one_mode_bundle(model, reference, xi).d2r_expected for xi in directions])
+        weights = np.append(expansion.coefficient_variances(), 1.0)
         _, dq_linearized = model.linearize(expansion, reference)
         r0 = model.predict(reference)
         steps = (2e-2, 1e-2, 5e-3)
-        errors = {"dq": [], "dq-linearize": [], "dr": [], "d2r": []}
+        errors = {"dq": [], "dq-linearize": [], "dr": [], "d2r": [], "d2r-expected": []}
         for h in steps:
             fd_q, fd_r, fd2_r = [], [], []
             for xi in directions:
@@ -375,7 +389,9 @@ class TestBandedOperatorProperties:
             errors["dq"].append(np.linalg.norm(np.array(fd_q[:m]) - ev.dq_modes))
             errors["dq-linearize"].append(np.linalg.norm(np.array(fd_q[:m]) - dq_linearized))
             errors["dr"].append(np.linalg.norm(np.array(fd_r[:m]) - ev.dr_modes))
-            errors["d2r"].append(np.linalg.norm(np.array(fd2_r) - np.array(second)))
+            # the mean direction is zero under centered laws, with a zero error
+            errors["d2r"].append(np.linalg.norm(np.array(fd2_r) - second))
+            errors["d2r-expected"].append(np.linalg.norm(weights @ np.array(fd2_r) - ev.d2r_expected))
         for name, errs in errors.items():
             order = observed_order(steps, errs)
             assert order >= 1.9, f"{name}: order {order:.3f}, errors {errs}"
@@ -384,17 +400,16 @@ class TestBandedOperatorProperties:
     @given(draw=_reference_draws)
     def test_solve_counts(self, darcy_operator_cases, draw):
         """One forward and K adjoint solves behind Q and dQ everywhere; the
-        pressure bundle adds M first- and M second-derivative solves, and two
-        more along the mean direction under shifted laws."""
+        pressure bundle adds M first-derivative solves and one solve for its
+        second-order field, under centered and shifted laws alike."""
         problem, expansion, reference = _draw_case(darcy_operator_cases, draw)
         m, k = expansion.n_modes, len(OBSERVATION_POINTS)
-        shifted = bool(expansion.coefficient_means().any())
         r1, r2 = DarcyModel(problem, "r1"), DarcyModel(problem, "r2")
         for model, call, expected in (
             (r1, "linearize", 1 + k),
             (r2, "linearize", 1 + k),
             (r1, "evaluate_at", 1 + k),
-            (r2, "evaluate_at", 1 + k + 2 * m + (2 if shifted else 0)),
+            (r2, "evaluate_at", 1 + k + m + 1),
         ):
             before = model.solve_count
             getattr(model, call)(expansion, reference)
@@ -422,6 +437,22 @@ class TestFirstOrderRightHandSides:
         got = op.first_order_rhs(xibars, u0)
         want = gradient_rhs_loop(problem.mesh, reference, directions, u0)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+class TestExpectedCurvature:
+    @pytest.mark.parametrize("shifted", [False, True], ids=["centered", "shifted"])
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_equals_sum_of_one_mode_bundles(self, darcy_operator_cases, level, shifted):
+        """The bundle's one-solve field equals sum_j Var[z_j] (one-mode bundle
+        along mode_j) + (one-mode bundle along the mean direction)."""
+        problem, centered, uncentered = darcy_operator_cases[level]
+        expansion = uncentered if shifted else centered
+        std = np.sqrt(expansion.coefficient_variances())
+        reference = expansion.x0 + (0.5 * std) @ expansion.modes
+        model = DarcyModel(problem, "r2")
+        got = model.evaluate_at(expansion, reference).d2r_expected
+        want = expected_curvature_by_direction(model, expansion, reference)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 class TestProblemMemory:

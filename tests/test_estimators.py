@@ -149,6 +149,16 @@ class TestRatioEstimator:
 
 
 class TestSweep:
+    def test_expansion_of_another_dim_rejected(self, darcy_level_2, darcy_level_3):
+        """Samples of an L3 expansion never reach the L2 model's solver."""
+        model, _ = darcy_level_2
+        _, expansion = darcy_level_3
+        meas = MeasurementSetup(data=np.zeros(model.observation_dim), sigma=model.noise_covariance())
+        before = model.solve_count
+        with pytest.raises(DimensionMismatch, match="parameter_dim"):
+            estimate_posterior_sweep([model], expansion, [meas], SampleBudget("halton", 8))
+        assert model.solve_count == before
+
     def test_models_share_solves(self):
         model, expansion, meas = _toy_setup(alpha=0.25)
         other = PolynomialToyModel()

@@ -26,8 +26,7 @@ def _still_evals(r0, n_modes=2, z=2, k=2):
         dq_modes=np.zeros((n_modes, k)),
         r0=np.asarray(r0, dtype=float),
         dr_modes=np.zeros((n_modes, z)),
-        d2r_diag=np.zeros((n_modes, z)),
-        d2r_meandir=np.zeros(z),
+        d2r_expected=np.zeros(z),
         reference=np.zeros(z),
     )
 
@@ -128,8 +127,7 @@ class TestRankOneCovariance:
             dq_modes=np.zeros((1, 1)),
             r0=np.zeros(3),
             dr_modes=v[None, :],
-            d2r_diag=np.zeros((1, 3)),
-            d2r_meandir=np.zeros(3),
+            d2r_expected=np.zeros(3),
             reference=np.zeros(3),
         )
         laws = (CoefficientLaw.uniform_symmetric(np.sqrt(lam)),)
@@ -210,8 +208,7 @@ def _random_case(rng, k, z, m, second, family):
         dq_modes=rng.normal(size=(m, k)),
         r0=rng.normal(size=z),
         dr_modes=rng.normal(size=(m, z)),
-        d2r_diag=rng.normal(size=(m, z)) if second else np.zeros((m, z)),
-        d2r_meandir=rng.normal(size=z) if second else np.zeros(z),
+        d2r_expected=rng.normal(size=z) if second else np.zeros(z),
         reference=np.zeros(3),
     )
     root = rng.normal(size=(k, k))
@@ -296,8 +293,7 @@ class TestMemoryProfile:
             dq_modes=rng.normal(size=(m, k)),
             r0=rng.normal(size=z),
             dr_modes=rng.normal(size=(m, z)),
-            d2r_diag=rng.normal(size=(m, z)),
-            d2r_meandir=rng.normal(size=z),
+            d2r_expected=rng.normal(size=z),
             reference=np.zeros(3),
         )
         meas = MeasurementSetup(data=rng.normal(size=k), sigma=SpdMatrix(np.eye(k)))

@@ -246,11 +246,21 @@ class TestModelWiring:
                     entry(bad)
         assert model.solve_count == before
 
+    def test_batch_width_validated(self, lv_small):
+        """Paths on a coarser grid are refused; marching them would leave
+        the observation slots past their end unwritten."""
+        model, _ = lv_small
+        before = model.solve_count
+        coarse = np.zeros((3, model.n_steps // 2 + 1))
+        with pytest.raises(DimensionMismatch):
+            model.solve_state_batch(coarse)
+        assert model.solve_count == before
+
     def test_evaluation_is_affine_in_the_path(self, lv_small):
         model, expansion = lv_small
         ev = evaluate_at(model, expansion)
         np.testing.assert_array_equal(ev.dr_modes, expansion.modes)
-        np.testing.assert_array_equal(ev.d2r_diag, 0.0)
+        np.testing.assert_array_equal(ev.d2r_expected, 0.0)
         np.testing.assert_allclose(ev.q0, model.observe(expansion.x0), rtol=1e-13)
 
     def test_bridge_prior_shape(self):

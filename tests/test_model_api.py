@@ -14,7 +14,7 @@ from postpert.lv import build_lotka_volterra
 from postpert.prior import AffineExpansion, CoefficientLaw
 from postpert.toy import ConjugateGaussianModel, PolynomialToyModel
 
-from oracles import observed_order
+from oracles import observed_order, one_mode_bundle
 
 
 class TestMeasurementSetup:
@@ -30,8 +30,7 @@ class TestModelEvaluations:
             dq_modes=np.ones((3, 2)),
             r0=np.zeros(4),
             dr_modes=np.ones((3, 4)),
-            d2r_diag=np.zeros((3, 4)),
-            d2r_meandir=np.zeros(4),
+            d2r_expected=np.zeros(4),
             reference=np.zeros(5),
         )
 
@@ -40,17 +39,16 @@ class TestModelEvaluations:
         assert ev.n_modes == 3
 
     def test_missing_second_derivatives_rejected(self):
-        for field in ("d2r_diag", "d2r_meandir"):
-            kwargs = self._base_kwargs()
-            kwargs[field] = None
-            with pytest.raises(DimensionMismatch):
-                ModelEvaluations(**kwargs)
+        kwargs = self._base_kwargs()
+        kwargs["d2r_expected"] = None
+        with pytest.raises(DimensionMismatch):
+            ModelEvaluations(**kwargs)
 
     def test_shape_checks(self):
         for field, bad in (
             ("q0", np.zeros(3)),
-            ("d2r_diag", np.zeros((3, 3))),
-            ("d2r_meandir", np.zeros(3)),
+            ("d2r_expected", np.zeros(3)),
+            ("d2r_expected", np.zeros((3, 4))),
         ):
             kwargs = self._base_kwargs()
             kwargs[field] = bad
@@ -85,25 +83,27 @@ _EVERY_MODEL = {
 
 class TestEvaluateAt:
     def test_affine_prediction_has_no_curvature(self):
-        """Affine predictions fill both second-derivative fields with zeros."""
+        """Affine predictions fill the second-order field with zeros."""
         for name in ("darcy-r1", "lotka-volterra", "conjugate-gaussian"):
             ev = evaluate_at(*_EVERY_MODEL[name]())
-            assert ev.d2r_diag.shape == ev.dr_modes.shape, name
-            assert ev.d2r_meandir.shape == ev.r0.shape, name
-            np.testing.assert_array_equal(ev.d2r_diag, 0.0, err_msg=name)
-            np.testing.assert_array_equal(ev.d2r_meandir, 0.0, err_msg=name)
+            assert ev.d2r_expected.shape == ev.r0.shape, name
+            np.testing.assert_array_equal(ev.d2r_expected, 0.0, err_msg=name)
 
     @pytest.mark.parametrize("name", ["darcy-r2", "polynomial-toy"])
     def test_curved_prediction_has_second_derivatives(self, name):
         ev = evaluate_at(*_EVERY_MODEL[name]())
-        assert ev.d2r_diag.shape == ev.dr_modes.shape
-        assert ev.d2r_meandir.shape == ev.r0.shape
-        assert ev.d2r_diag.any() and ev.d2r_meandir.any()
+        assert ev.d2r_expected.shape == ev.r0.shape
+        assert ev.d2r_expected.any()
 
     def test_centered_laws_zero_mean_direction(self, toy_pair_centered):
+        """Centered laws leave only the variance-weighted mode curvatures."""
         model, expansion = toy_pair_centered
         ev = evaluate_at(model, expansion)
-        assert np.allclose(ev.d2r_meandir, 0.0, atol=1e-15)
+        want = sum(
+            law.variance * one_mode_bundle(model, expansion.x0, mode).d2r_expected
+            for law, mode in zip(expansion.laws, expansion.modes)
+        )
+        np.testing.assert_allclose(ev.d2r_expected, want, rtol=1e-12, atol=0)
 
     def test_observation_derivatives_match_finite_differences(self, darcy_level_2):
         """Unit-direction dQ from the solver agrees with central differences."""
@@ -124,6 +124,19 @@ class TestEvaluateAt:
         model, expansion = toy_pair
         with pytest.raises(DimensionMismatch):
             evaluate_at(model, expansion, reference=np.zeros(5))
+
+    @pytest.mark.parametrize("name", sorted(_EVERY_MODEL))
+    def test_expansion_dim_checked(self, name):
+        """An expansion over another parameter space is refused before a solve."""
+        model, expansion = _EVERY_MODEL[name]()
+        other = AffineExpansion(
+            x0=np.zeros(expansion.dim + 1),
+            modes=np.ones((1, expansion.dim + 1)),
+            laws=(CoefficientLaw.standard_normal(),),
+        )
+        with pytest.raises(DimensionMismatch, match="parameter_dim"):
+            evaluate_at(model, other)
+        assert model.solve_count == 0
 
 
 class TestGenerateData:

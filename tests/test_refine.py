@@ -5,7 +5,7 @@ import pytest
 
 from postpert.cli import StudyConfig, run_refinement_study
 from postpert.darcy import STUDY_OBSERVATIONS, darcy_noise_covariance
-from postpert.errors import Diverged, PostpertError
+from postpert.errors import DimensionMismatch, Diverged, PostpertError
 from postpert.model_api import MeasurementSetup
 from postpert.prior import AffineExpansion, CoefficientLaw
 from postpert.refine import RefineState, refine_step, run_refinement
@@ -117,6 +117,13 @@ class TestTikhonovGradient:
 
 
 class TestDarcyRefinement:
+    def test_expansion_of_another_dim_rejected(self, darcy_level_2, darcy_level_3):
+        """An L2 model refined with an L3 expansion, and the reverse."""
+        meas = MeasurementSetup(data=STUDY_OBSERVATIONS, sigma=darcy_noise_covariance())
+        for (model, _), (_, expansion) in ((darcy_level_2, darcy_level_3), (darcy_level_3, darcy_level_2)):
+            with pytest.raises(DimensionMismatch, match="parameter_dim"):
+                run_refinement(model, expansion, meas)
+
     def test_large_alpha_diverges(self, darcy_level_3):
         model, expansion, meas = _darcy_setup(darcy_level_3)
         for alpha in (0.5, 1.0):

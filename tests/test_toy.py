@@ -5,6 +5,8 @@ from postpert.model_api import evaluate_at
 from postpert.prior import AffineExpansion, CoefficientLaw
 from postpert.toy import ConjugateGaussianModel, PolynomialToyModel
 
+from oracles import expected_curvature_by_direction, one_mode_bundle
+
 
 def _poly_expansion(x0=(0.2, -0.1)):
     return AffineExpansion(
@@ -44,7 +46,7 @@ class TestConjugateGaussian:
         ev = evaluate_at(model, expansion)
         assert ev.dq_modes[0, 0] == pytest.approx(1.4)
         assert ev.dr_modes[0, 0] == pytest.approx(0.7)
-        np.testing.assert_array_equal(ev.d2r_diag, np.zeros((1, 1)))
+        np.testing.assert_array_equal(ev.d2r_expected, np.zeros(1))
         # shifting the reference shifts outputs linearly, derivatives stay put
         ev2 = evaluate_at(model, expansion, reference=np.array([1.3]))
         assert ev2.q0[0] - ev.q0[0] == pytest.approx(2.0)
@@ -103,23 +105,27 @@ class TestPolynomialToy:
                 assert vals[1] == pytest.approx(h2[i, j], abs=1e-5)
 
     def test_evaluation_curvature_along_modes(self):
-        """d2r entries are the exact second directional derivatives per mode."""
+        """A one-mode bundle holds the exact second directional derivative."""
         model = PolynomialToyModel()
         expansion = _poly_expansion()
-        ev = evaluate_at(model, expansion)
         h = 1e-4
-        for m, mode in enumerate(expansion.modes):
+        for mode in expansion.modes:
+            ev = one_mode_bundle(model, expansion.x0, mode)
             fd = (
                 model.predict(expansion.x0 + h * mode)
                 - 2 * model.predict(expansion.x0)
                 + model.predict(expansion.x0 - h * mode)
             ) / (h * h)
-            np.testing.assert_allclose(ev.d2r_diag[m], fd, atol=1e-5)
+            np.testing.assert_allclose(ev.d2r_expected, fd, atol=1e-5)
 
     def test_evaluation_curvature_along_mean_shift(self):
+        """Under shifted laws the bundle's field is the variance-weighted
+        sum of the one-mode fields plus the one along the mean shift.  Like
+        the Darcy bundle, it counts 1 + M + 1 solves."""
         model = PolynomialToyModel()
         expansion = _poly_expansion()
         ev = evaluate_at(model, expansion)
+        assert model.solve_count == 1 + expansion.n_modes + 1
         w = expansion.coefficient_means() @ expansion.modes
         h = 1e-4
         fd = (
@@ -127,7 +133,9 @@ class TestPolynomialToy:
             - 2 * model.predict(expansion.x0)
             + model.predict(expansion.x0 - h * w)
         ) / (h * h)
-        np.testing.assert_allclose(ev.d2r_meandir, fd, atol=1e-5)
+        np.testing.assert_allclose(one_mode_bundle(model, expansion.x0, w).d2r_expected, fd, atol=1e-5)
+        want = expected_curvature_by_direction(model, expansion, expansion.x0)
+        np.testing.assert_allclose(ev.d2r_expected, want, rtol=1e-12, atol=0)
 
     def test_centered_laws_drop_mean_direction(self):
         model = PolynomialToyModel()
@@ -140,7 +148,11 @@ class TestPolynomialToy:
             ),
         )
         ev = evaluate_at(model, expansion)
-        np.testing.assert_array_equal(ev.d2r_meandir, np.zeros(2))
+        want = sum(
+            law.variance * one_mode_bundle(model, expansion.x0, mode).d2r_expected
+            for law, mode in zip(expansion.laws, expansion.modes)
+        )
+        np.testing.assert_allclose(ev.d2r_expected, want, rtol=1e-12, atol=0)
 
     def test_noise_covariance_default(self):
         sigma = PolynomialToyModel().noise_covariance().entries
