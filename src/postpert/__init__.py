@@ -42,7 +42,6 @@ from .prior import (
     KleBasis,
     brownian_bridge_modes,
     build_kle,
-    gaussian_kernel,
 )
 from .refine import RefineState, refine_step, run_refinement
 

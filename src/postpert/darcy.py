@@ -64,7 +64,7 @@ from .fem import (
 )
 from .linalg import SpdMatrix, field_l2_norm, tensor_l2_norm
 from .model_api import ForwardModel, ModelEvaluations
-from .prior import AffineExpansion, CoefficientLaw, KleBasis, build_kle, gaussian_kernel
+from .prior import AffineExpansion, CoefficientLaw, KleBasis, build_kle
 
 OBSERVATION_POINTS = np.array(
     [[0.5, 0.5], [0.25, 0.25], [0.75, 0.25], [0.75, 0.75], [0.25, 0.75]]
@@ -350,7 +350,7 @@ class DarcyModel(ForwardModel):
 
 def build_darcy_kle(mesh: TriangularMesh, tol: float) -> KleBasis:
     """KLE of the Gaussian kernel on the model mesh."""
-    return build_kle(gaussian_kernel(KERNEL_GAMMA), mesh, tol)
+    return build_kle(KERNEL_GAMMA, mesh, tol)
 
 
 def build_darcy(

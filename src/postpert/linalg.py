@@ -7,8 +7,9 @@ Conventions:
     through the Cholesky factor, never through an explicit inverse,
   - the mass-weighted norms take the mass matrix as a dense array or as a
     scipy.sparse matrix and touch it only through products m @ x,
-  - there is no eigensolver here: prior.build_kle hands its Galerkin pencil
-    to scipy.linalg.eigh itself.
+  - there is no eigensolver here: prior.build_kle hands its matrix-free
+    Galerkin pencil to ARPACK (or, on small meshes, to scipy.linalg.eigh)
+    itself.
 """
 
 from __future__ import annotations

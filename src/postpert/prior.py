@@ -13,18 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, eigh
 
-from .errors import ConvergenceFailure, DimensionMismatch, EmptyBasis, NotSpd
+from .errors import ConvergenceFailure, DimensionMismatch, EmptyBasis
 from .fem import TriangularMesh, assemble_mass
 
 _LAW_KINDS = ("uniform-symmetric", "uniform-shifted", "standard-normal")
 
-# Kernel entries evaluated at a time by build_kle (one row block, 16 MB).
-KERNEL_BLOCK_ENTRIES = 2 ** 21
 # Consecutive KLE eigenvalues at most this times lambda_1 apart share a cluster.
 CLUSTER_RTOL = 1e-10
 # Seed of the Gaussian probe that fixes the basis of each cluster.
 MODE_PROBE_SEED = 20250
-# Eigenpairs asked for by the first subset eigensolve of build_kle.
+# Eigenpairs asked for by the first eigensolve of build_kle.
 _FIRST_SUBSET = 32
 
 
@@ -151,95 +149,90 @@ class KleBasis:
     eigenfields: np.ndarray  # (n_modes, n_nodes), unit L2 norm each
 
 
-def gaussian_kernel(gamma: float):
-    """Covariance kernel k(x, y) = exp(-gamma |x - y|^2) between point sets.
-
-    The kernel maps (n, d) and (m, d) point arrays to the (n, m) matrix of
-    values.  It builds |x - y|^2 from one np.subtract.outer per coordinate,
-    squared and summed in place, and exponentiates in place, so an (n, m)
-    call holds two (n, m) arrays and no (n, m, d) one.  gamma must be
-    finite and non-negative; anything else raises DimensionMismatch.
-    """
-    gamma = float(gamma)
-    if not 0.0 <= gamma < np.inf:
-        raise DimensionMismatch(f"kernel gamma must be finite and >= 0, got {gamma}")
-
-    def kernel(x, y):
-        x = np.atleast_2d(x)
-        y = np.atleast_2d(y)
-        d2 = np.subtract.outer(x[:, 0], y[:, 0])
-        d2 *= d2
-        for axis in range(1, x.shape[1]):
-            diff = np.subtract.outer(x[:, axis], y[:, axis])
-            diff *= diff
-            d2 += diff
-        d2 *= -gamma
-        return np.exp(d2, out=d2)
-
-    return kernel
-
-
-def build_kle(kernel, mesh: TriangularMesh, tol: float) -> KleBasis:
-    """Galerkin discretization of the covariance operator, then its leading eigenpairs.
+def build_kle(gamma: float, mesh: TriangularMesh, tol: float) -> KleBasis:
+    """Galerkin discretization of exp(-gamma |x - y|^2), then its leading eigenpairs.
 
     The double integral over triangle pairs uses a one-point centroid rule,
     under which each hat function contributes area/3 per incident triangle.
     With that rule as a sparse (T, N) projection P and the centroid kernel
-    matrix K, the Galerkin matrix is G = P^T K P.  K is evaluated in row
-    blocks of about KERNEL_BLOCK_ENTRIES entries and each block's share
-    P_rows^T (K_rows P) is added to G at once, so K is never held whole.
+    matrix K, the Galerkin matrix is G = P^T K P.  G is never formed: the
+    kernel factorizes as exp(-gamma dx^2) exp(-gamma dy^2), so with the
+    centroids scattered onto the lattice of their distinct x and y values,
+    K w = gather(Kx scatter(w) Ky^T) exactly, Kx and Ky being the kernel
+    between the distinct x (y) values.  The mesh must fill at least half of
+    that lattice, as the structured meshes of build_unit_square_mesh do.
 
-    The leading pairs of G v = lambda M v (M the P1 mass matrix) come from
-    one subset eigensolve; when the smallest pair returned still passes the
-    threshold, the solve is repeated for four times as many, up to N.
-    Modes with lambda_i > tol * lambda_1 are retained, with non-increasing
-    eigenvalues; the eigenfields come out mass-orthonormal, i.e. with unit
-    L2 norm, in the canonical basis of _canonical_modes.
+    The leading pairs of G v = lambda M v (M the sparse P1 mass matrix)
+    come from implicitly restarted Lanczos (ARPACK), which needs G only as
+    a product.  When the smallest pair returned still passes the threshold,
+    the solve is repeated for four times as many.  ARPACK needs fewer pairs
+    than N, so once half of the spectrum is asked for (as on the smallest
+    meshes) the same product is applied to the identity and the pencil is
+    solved densely.  Modes with lambda_i > tol * lambda_1 are retained, with
+    non-increasing eigenvalues; the eigenfields come out mass-orthonormal,
+    i.e. with unit L2 norm, in the canonical basis of _canonical_modes.
 
-    Raises DimensionMismatch for tol <= 0, NotSpd for a non-finite Galerkin
-    matrix, ConvergenceFailure when the eigensolver fails and EmptyBasis
-    when no mode passes the threshold.
+    Raises DimensionMismatch for a gamma that is not finite and >= 0, for
+    tol <= 0 and for centroids that fill less than half of their lattice,
+    ConvergenceFailure when an eigensolver fails and EmptyBasis when no mode
+    passes the threshold.
     """
-    # scipy.sparse is imported here, as in fem.assemble_mass, so that
-    # processes which never build a KLE do not load it
+    # scipy.sparse and its linalg (about 0.27 s to import) are imported here,
+    # so that processes which never build a KLE do not load them
     from scipy.sparse import csr_array
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
-    tol = float(tol)
+    gamma, tol = float(gamma), float(tol)
+    if not 0.0 <= gamma < np.inf:
+        raise DimensionMismatch(f"kernel gamma must be finite and >= 0, got {gamma}")
     if not tol > 0.0:
         raise DimensionMismatch("relative truncation tolerance must be > 0")
     t, n = mesh.n_triangles, mesh.n_nodes
+    xs, ix = np.unique(mesh.centroids[:, 0], return_inverse=True)
+    ys, iy = np.unique(mesh.centroids[:, 1], return_inverse=True)
+    if len(xs) * len(ys) > 2 * t:
+        raise DimensionMismatch(
+            f"{t} centroids do not fill half of their {len(xs)} x {len(ys)} lattice"
+        )
+    kx = np.exp(-gamma * np.subtract.outer(xs, xs) ** 2)
+    ky = np.exp(-gamma * np.subtract.outer(ys, ys) ** 2)
     rows = np.repeat(np.arange(t), 3)
     p = csr_array((np.repeat(mesh.areas / 3.0, 3), (rows, mesh.triangles.ravel())), shape=(t, n))
+    pt = p.T.tocsr()
+    grid = np.zeros((len(xs), len(ys)))
 
-    galerkin = np.zeros((n, n))
-    step = max(1, KERNEL_BLOCK_ENTRIES // t)
-    for start in range(0, t, step):
-        block = p[start : start + step]
-        # a row block of P touches only the nodes lo..hi-1, so only those
-        # rows of G receive its share
-        lo, hi = block.indices.min(), block.indices.max() + 1
-        projected = kernel(mesh.centroids[start : start + step], mesh.centroids) @ p
-        galerkin[lo:hi] += block[:, lo:hi].T @ projected
-    if not np.isfinite(galerkin).all():
-        raise NotSpd("Galerkin matrix of the kernel has non-finite entries")
+    def galerkin(v):
+        grid[ix, iy] = p @ np.ravel(v)
+        return pt @ (kx @ grid @ ky.T)[ix, iy]
 
+    operator = LinearOperator((n, n), matvec=galerkin, dtype=float)
     mass = assemble_mass(mesh)
-    dense_mass = mass.toarray()
-    count = min(n, _FIRST_SUBSET)
+    # M is symmetric positive definite: a symmetric fill-reducing order and
+    # no pivoting give half the fill of splu's default
+    mass_lu = splu(
+        mass.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    mass_inverse = LinearOperator((n, n), matvec=mass_lu.solve, dtype=float)
+    count = _FIRST_SUBSET
     while True:
         try:
-            # eigh reads the lower triangles only, so G need not be symmetrized
-            values, vectors = eigh(
-                galerkin, dense_mass, subset_by_index=[n - count, n - 1], check_finite=False
-            )
-        except LinAlgError as exc:
+            if 2 * count >= n:
+                # eigh reads the lower triangles only, so G need not be symmetrized
+                values, vectors = eigh(operator @ np.eye(n), mass.toarray(), check_finite=False)
+            else:
+                values, vectors = eigsh(
+                    operator, count, M=mass, Minv=mass_inverse,
+                    which="LA", v0=np.ones(n), tol=0,
+                )
+        except (LinAlgError, ArpackError) as exc:
             raise ConvergenceFailure(f"generalized eigensolver failed: {exc}") from exc
         values, vectors = values[::-1], vectors[:, ::-1]
         if values[0] <= 0.0:
             raise EmptyBasis("leading eigenvalue is not positive")
-        if values[-1] <= tol * values[0] or count == n:
+        if values[-1] <= tol * values[0] or 2 * count >= n:
             break
-        count = min(n, 4 * count)
+        count *= 4
 
     keep = int(np.sum(values > tol * values[0]))
     if keep == 0:

@@ -4,8 +4,8 @@ Everything here is deliberately written from scratch with plain loops and
 textbook algorithms, avoiding the library's own linear algebra and any
 numpy.linalg decompositions, so that agreement between a library result and
 an oracle result is evidence rather than tautology.  kle_full_eigh is the
-one exception: it checks the library's subset eigensolve on sparse pieces
-against a full dense scipy eigensolve of the same pencil.  one_mode_bundle
+one exception: it checks the library's Lanczos solve on the separable
+product against a full dense scipy eigensolve of the same pencil.  one_mode_bundle
 and expected_curvature_by_direction are the others: they call the library's
 evaluate_at one direction at a time, so that a bundle's one weighted
 second-order field can be checked direction by direction.
@@ -162,6 +162,30 @@ def assemble_weighted_stiffness(mesh, tri_coef):
     return a
 
 
+def gaussian_kernel(gamma):
+    """Covariance kernel k(x, y) = exp(-gamma |x - y|^2) between point sets.
+
+    The kernel maps (n, d) and (m, d) point arrays to the (n, m) matrix of
+    values.  It builds |x - y|^2 from one np.subtract.outer per coordinate,
+    squared and summed in place, and exponentiates in place, so an (n, m)
+    call holds two (n, m) arrays and no (n, m, d) one.
+    """
+
+    def kernel(x, y):
+        x = np.atleast_2d(x)
+        y = np.atleast_2d(y)
+        d2 = np.subtract.outer(x[:, 0], y[:, 0])
+        d2 *= d2
+        for axis in range(1, x.shape[1]):
+            diff = np.subtract.outer(x[:, axis], y[:, axis])
+            diff *= diff
+            d2 += diff
+        d2 *= -gamma
+        return np.exp(d2, out=d2)
+
+    return kernel
+
+
 def broadcast_gaussian_kernel(gamma):
     """exp(-gamma |x - y|^2) through one (n, m, d) broadcast difference."""
 
@@ -187,7 +211,7 @@ def kle_full_eigh(kernel, mesh, tol):
     """Reference KLE: every eigenpair of the dense pencil, then the cluster rule.
 
     A full scipy.linalg.eigh of (kle_galerkin, dense_mass) replaces the
-    library's subset solve on sparse pieces.  The canonical basis is the
+    library's Lanczos solve on the separable product.  The canonical basis is the
     one build_kle documents, written as plain loops: consecutive eigenvalues
     at most CLUSTER_RTOL * lambda_1 apart form a cluster, and each cluster
     V is replaced by V Q where Q comes from Gram-Schmidt on the columns of

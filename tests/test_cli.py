@@ -1,5 +1,9 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,28 @@ from postpert.refine import STOP_TOL, run_refinement
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+class TestStartup:
+    def test_sparse_linalg_loads_only_for_a_kle(self):
+        """scipy.sparse.linalg takes about 0.27 s to import.  Only the KLE
+        build needs it, so the CLI start-up and a predator-prey study never
+        load it; the Darcy KLE build does."""
+        script = (
+            "import sys\n"
+            "import postpert.cli\n"
+            "from postpert.cli import StudyConfig, build_study_model\n"
+            "build_study_model(StudyConfig(model='lotka-volterra'))\n"
+            "assert 'scipy.sparse.linalg' not in sys.modules, 'loaded without a KLE'\n"
+            "postpert.cli.build_darcy(2)\n"
+            "assert 'scipy.sparse.linalg' in sys.modules, 'KLE built without it'\n"
+        )
+        src = str(Path(postpert.cli.__file__).resolve().parents[1])
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+        )
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
 class TestConfigFile:

@@ -244,16 +244,33 @@ class TestKleBasis:
 
     def test_level_5_build_peaks_far_below_the_dense_one(self):
         """Under tracemalloc, build_darcy_kle(L5) peaked at 122 MiB while it
-        held the whole kernel, a dense projection and a full eigensolve, and
-        peaks at about 58 MiB with row blocks and a subset solve."""
+        held the whole kernel and a full eigensolve, and at 58 MiB with row
+        blocks of the kernel and a subset solve.  Matrix-free, it holds a few
+        dozen N-vectors (the Lanczos basis), the sparse mass factor and the
+        modes, and peaks at about 1.9 MiB."""
         mesh = build_unit_square_mesh(5)
+        build_darcy_kle(build_unit_square_mesh(2), 1e-3)  # module imports
         tracemalloc.start()
         try:
             build_darcy_kle(mesh, 1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 90 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+        assert peak < 4 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+    def test_level_6_build_peaks_far_below_one_dense_matrix(self):
+        """One 4225 x 4225 array is 136 MiB; the L6 build peaks at about
+        7.4 MiB."""
+        mesh = build_unit_square_mesh(6)
+        build_darcy_kle(build_unit_square_mesh(2), 1e-3)  # module imports
+        tracemalloc.start()
+        try:
+            basis = build_darcy_kle(mesh, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.eigenfields.shape == (24, mesh.n_nodes)
+        assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 class TestDarcyModel:
