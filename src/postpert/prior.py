@@ -216,8 +216,9 @@ def build_kle(gamma: float, mesh: TriangularMesh, tol: float) -> KleBasis:
     mass_inverse = LinearOperator((n, n), matvec=mass_lu.solve, dtype=float)
     count = _FIRST_SUBSET
     while True:
+        dense = 2 * count >= n
         try:
-            if 2 * count >= n:
+            if dense:
                 # eigh reads the lower triangles only, so G need not be symmetrized
                 values, vectors = eigh(operator @ np.eye(n), mass.toarray(), check_finite=False)
             else:
@@ -230,7 +231,7 @@ def build_kle(gamma: float, mesh: TriangularMesh, tol: float) -> KleBasis:
         values, vectors = values[::-1], vectors[:, ::-1]
         if values[0] <= 0.0:
             raise EmptyBasis("leading eigenvalue is not positive")
-        if values[-1] <= tol * values[0] or 2 * count >= n:
+        if dense or values[-1] <= tol * values[0]:
             break
         count *= 4
 
