@@ -51,7 +51,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import get_lapack_funcs
 
 from .errors import DimensionMismatch, SolverFailure
 from .fem import (
@@ -69,6 +69,11 @@ from .prior import AffineExpansion, CoefficientLaw, KleBasis, build_kle
 OBSERVATION_POINTS = np.array(
     [[0.5, 0.5], [0.25, 0.25], [0.75, 0.25], [0.75, 0.75], [0.25, 0.75]]
 )
+
+# LAPACK's banded Cholesky factor and solve, called without scipy's
+# cholesky_banded / cho_solve_banded wrappers, whose checks and dispatch
+# cost about a quarter of a per-sample solve at L4
+_PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), (np.empty(0),))
 
 KERNEL_GAMMA = 20.0 / 3.0
 # Mean of every coefficient law of the uncentered prior (centered=False).
@@ -176,26 +181,30 @@ class BandedStiffness:
 
     Factored once, then reused for the forward load and for every derivative
     column, all columns of one derivative order in one multi-RHS solve.  A
-    non-finite conductivity or a breakdown of the factorization raises
-    SolverFailure.
+    non-finite conductivity or band, or a breakdown of the factorization,
+    raises SolverFailure.  coef, when given, is the conductivity of b,
+    computed for a whole block of fields at once.
     """
 
-    def __init__(self, problem: DarcyProblem, b):
+    def __init__(self, problem: DarcyProblem, b, coef=None):
         self.problem = problem
-        self.coef = _conductivity(problem.mesh, b)
+        self.coef = _conductivity(problem.mesh, b) if coef is None else coef
         vals = self.coef[problem._band_tri] * problem._band_gvals
         n_band, n_int = problem._band_shape
         ab = np.bincount(problem._band_flat, weights=vals, minlength=n_band * n_int)
-        try:
-            self._factor = cholesky_banded(ab.reshape(n_band, n_int), lower=True)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise SolverFailure(f"stiffness factorization failed: {exc}") from exc
+        if not np.isfinite(ab).all():
+            raise SolverFailure("stiffness factorization failed: the band is not finite")
+        self._factor, info = _PBTRF(ab.reshape(n_band, n_int), lower=1)
+        if info > 0:
+            raise SolverFailure(
+                f"stiffness factorization failed: leading minor {info} is not positive definite"
+            )
 
     def solve(self, rhs_int) -> np.ndarray:
         """Interior solve, (n_int,) or (n_int, M), embedded with zero boundary values."""
-        # the factor is finite once factored; finiteness of the right-hand
-        # side is the caller's, so the per-call scan is skipped
-        x = cho_solve_banded((self._factor, True), rhs_int, check_finite=False)
+        # finiteness of the right-hand side is the caller's, as is a valid
+        # shape (pbtrs reports only malformed arguments)
+        x, _ = _PBTRS(self._factor, rhs_int, lower=1)
         out = np.zeros((self.problem.mesh.n_nodes,) + x.shape[1:])
         out[self.problem.mesh.interior] = x
         return out
@@ -276,10 +285,13 @@ class DarcyModel(ForwardModel):
         return self.problem.mesh.n_nodes
 
     def solve_state_batch(self, xs) -> DarcyState:
-        xs = self._parameter_batch(xs)
+        # each sample's solve reads its own row, so a sample-last block (as
+        # realize_batch returns) is copied to row-major once, not read strided
+        xs = np.ascontiguousarray(self._parameter_batch(xs))
+        coefs = _conductivity(self.problem.mesh, xs)
         us = np.empty_like(xs)
         for k in range(len(xs)):
-            us[k] = BandedStiffness(self.problem, xs[k]).solve(self.problem.f_int)
+            us[k] = BandedStiffness(self.problem, xs[k], coefs[k]).solve(self.problem.f_int)
         self.solve_count += len(xs)
         return DarcyState(b=xs, u=us)
 

@@ -8,11 +8,21 @@ The populations solve
 where the perturbation path xi is the model parameter.  Time stepping is an
 explicit Euler predictor followed by a fixed number of implicit-Euler
 fixed-point sweeps, run by one batch kernel over a (2, B) state of prey and
-predator rows; a single path is a batch of one.  The associated variational
-(linearized) system is integrated with the same scheme, with coefficients
-frozen at the stored base trajectory, so derivative solves are exact
-derivatives of the discrete map up to the tiny sweep-truncation residual.
-Observations are both populations at t = 1/4, 1/2, 3/4, 1.
+predator rows; a single path is a batch of one.  Observations are both
+populations at t = 1/4, 1/2, 3/4, 1.
+
+Observation derivatives are exact derivatives of the discrete map, taken
+from K adjoint sweeps rather than M tangent ones.  The tangent v of one
+step is linear in v and in the path's direction d: with A the Jacobian,
+B = h A(t_{n+1}) as the corrector sees it, S = I + B + ... + B^(s-1)
+and P = B^s for s sweeps,
+
+    v_{n+1} = T_n v_n + h y1_{n+1} d_{n+1} S e1 + h y1_n d_n P e1,
+    T_n = S + P (I + h A(t_n)),
+
+so one backward recurrence mu_n = T_n^T mu_{n+1}, carrying the K observed
+components as columns, gives the sensitivity of every observation to
+every grid value of the path, and dq = modes @ sensitivity.
 """
 
 from __future__ import annotations
@@ -70,8 +80,10 @@ def _march(xi, record, y_init=INITIAL_STATE):
     predictor and every corrector sweep are four in-place ufuncs on
     preallocated (2, B) buffers.  The growth row of a step's end point, the
     only forcing the corrector sees, is formed once per step from the
-    column xi[:, n+1] and carried over as the next step's start; no
-    transposed copy of xi is made.
+    column xi[:, n+1] and carried over as the next step's start.  Those
+    column reads are contiguous for a sample-last block (as realize_batch
+    returns) and strided for a row-major one; either way xi is not copied,
+    and the bits do not depend on its layout.
     """
     batch, n_steps = xi.shape[0], xi.shape[1] - 1
     h = 1.0 / n_steps
@@ -120,49 +132,45 @@ def integrate(xi, y_init=INITIAL_STATE) -> Trajectory:
     return Trajectory(tgrid, y1[0], y2[0], xi)
 
 
-def integrate_derivative_many(base: Trajectory, modes: np.ndarray) -> np.ndarray:
-    """Variational solves for several directions, returned as (M, 2, n+1).
+def _observation_adjoint(base: Trajectory, record) -> np.ndarray:
+    """Sensitivities (n+1, 2 len(record)) of the recorded populations to the path.
 
-    The linear system v' = A(t) v + (mode(t) y1(t), 0) uses the same
-    predictor-corrector stepping as the nonlinear march, with A and the
-    forcing evaluated on the stored base trajectory.
+    Column 2j (2j + 1) is the gradient of y1 (y2) at grid index record[j]
+    with respect to the path values xi_0..xi_n, for the discrete
+    predictor-corrector map about base, so the derivatives along
+    directions modes (M, n+1) are modes @ sensitivities.  The per-step 2x2
+    matrices are formed once, vectorised over time, and the backward
+    recurrence carries one column per recorded population.
     """
-    modes = np.asarray(modes, dtype=float)
     n_steps = len(base.tgrid) - 1
-    if modes.shape[1] != n_steps + 1:
-        raise DimensionMismatch("directions must be sampled on the base grid")
     h = 1.0 / n_steps
-    m = modes.shape[0]
-    v1 = np.zeros(m)
-    v2 = np.zeros(m)
-    out = np.empty((m, 2, n_steps + 1))
-    out[:, 0, 0] = 0.0
-    out[:, 1, 0] = 0.0
+    ha = np.empty((n_steps + 1, 2, 2))  # h A(t) on the base trajectory
+    ha[:, 0, 0] = h * (GROWTH + base.xi - PREDATION * base.y2)
+    ha[:, 0, 1] = -h * PREDATION * base.y1
+    ha[:, 1, 0] = h * CONVERSION * base.y2
+    ha[:, 1, 1] = h * (CONVERSION * base.y1 - DECAY)
+    b = ha[1:]
+    s = np.zeros_like(b)
+    p = np.broadcast_to(np.eye(2), b.shape).copy()
+    for _ in range(CORRECTOR_SWEEPS):
+        s += p
+        p = p @ b
+    step_t = (s + p @ (np.eye(2) + ha[:-1])).transpose(0, 2, 1).copy()
 
-    # Jacobian entries and forcing rows for every grid index, formed once:
-    # the five corrector sweeps of a step all evaluate at its end point.
-    a11 = (GROWTH + base.xi - PREDATION * base.y2).tolist()
-    a12 = (-PREDATION * base.y1).tolist()
-    a21 = (CONVERSION * base.y2).tolist()
-    a22 = (CONVERSION * base.y1 - DECAY).tolist()
-    g1 = np.ascontiguousarray((modes * base.y1).T)
+    # mu[n] is the gradient of each recorded population with respect to the
+    # tangent state at step n, seeded where that population is recorded
+    mu = np.zeros((n_steps + 1, 2, 2 * len(record)))
+    for k, i in enumerate(record):
+        mu[i, 0, 2 * k] = mu[i, 1, 2 * k + 1] = 1.0
+    for n in range(n_steps - 1, -1, -1):
+        mu[n] += step_t[n] @ mu[n + 1]
 
-    def apply(tidx, w1, w2):
-        return (
-            a11[tidx] * w1 + a12[tidx] * w2 + g1[tidx],
-            a21[tidx] * w1 + a22[tidx] * w2,
-        )
-
-    for n in range(n_steps):
-        f1, f2 = apply(n, v1, v2)
-        a, b = v1 + h * f1, v2 + h * f2
-        for _ in range(CORRECTOR_SWEEPS):
-            f1, f2 = apply(n + 1, a, b)
-            a, b = v1 + h * f1, v2 + h * f2
-        v1, v2 = a, b
-        out[:, 0, n + 1] = v1
-        out[:, 1, n + 1] = v2
-    return out
+    # step n's forcing enters at t_{n+1} through S e1 and at t_n through P e1
+    sens = np.zeros((n_steps + 1, mu.shape[2]))
+    sens[1:] = np.einsum("tck,tc->tk", mu[1:], s[:, :, 0])
+    sens[:-1] += np.einsum("tck,tc->tk", mu[1:], p[:, :, 0])
+    sens *= h * base.y1[:, None]
+    return sens
 
 
 def observation_indices(n_steps: int) -> np.ndarray:
@@ -241,13 +249,12 @@ class LotkaVolterraModel(ForwardModel):
 
     def linearize(self, expansion: AffineExpansion, reference):
         ref = np.asarray(reference, dtype=float)
+        if expansion.dim != len(ref):
+            raise DimensionMismatch("directions must be sampled on the reference grid")
         base = integrate(ref)
-        deriv = integrate_derivative_many(base, expansion.modes)
-        self.solve_count += 1 + expansion.n_modes
-        dq = np.empty((expansion.n_modes, self.observation_dim))
-        dq[:, 0::2] = deriv[:, 0, self._obs_idx]
-        dq[:, 1::2] = deriv[:, 1, self._obs_idx]
-        return lv_observe(base), dq
+        sens = _observation_adjoint(base, self._obs_idx)
+        self.solve_count += 1 + self.observation_dim
+        return lv_observe(base), expansion.modes @ sens
 
     def evaluate_at(self, expansion: AffineExpansion, reference) -> ModelEvaluations:
         ref = np.asarray(reference, dtype=float)

@@ -24,6 +24,10 @@ CLUSTER_RTOL = 1e-10
 MODE_PROBE_SEED = 20250
 # Eigenpairs asked for by the first eigensolve of build_kle.
 _FIRST_SUBSET = 32
+# A grown request for at least n_nodes / _DENSE_FRACTION pairs goes to the
+# dense solve: at L5 ARPACK took 0.19 s for 128 pairs but 3.3 s for 512,
+# against 0.78 s for the full dense pencil.
+_DENSE_FRACTION = 8
 
 
 @dataclass(frozen=True)
@@ -124,14 +128,21 @@ class AffineExpansion:
         return AffineExpansion(self.x0, self.modes, self.laws, alpha)
 
     def realize_batch(self, native_draws) -> np.ndarray:
-        """Fields for a (batch, n_modes) block of law-native draws."""
+        """Fields for a (batch, n_modes) block of law-native draws.
+
+        The (batch, dim) result is sample-last: it is the transpose of a
+        C-ordered (dim, batch) array, so each field coordinate is one
+        contiguous column across the batch.  It is formed by one product
+        and scaled and shifted in place, with no other full-size array.
+        """
         u = np.asarray(native_draws, dtype=float)
         if u.ndim != 2 or u.shape[1] != self.n_modes:
             raise DimensionMismatch(f"expected (batch, {self.n_modes}) draws")
-        z = np.column_stack(
-            [law.map_draw(u[:, j]) for j, law in enumerate(self.laws)]
-        )
-        return self.x0[None, :] + self.alpha * (z @ self.modes)
+        z = np.stack([law.map_draw(u[:, j]) for j, law in enumerate(self.laws)])
+        fields = self.modes.T @ z
+        fields *= self.alpha
+        fields += self.x0[:, None]
+        return fields.T
 
     def point_from_shift(self, shift) -> np.ndarray:
         """Reference point x0 + sum_j mode_j shift_j (no alpha scaling)."""
@@ -166,11 +177,13 @@ def build_kle(gamma: float, mesh: TriangularMesh, tol: float) -> KleBasis:
     come from implicitly restarted Lanczos (ARPACK), which needs G only as
     a product.  When the smallest pair returned still passes the threshold,
     the solve is repeated for four times as many.  ARPACK needs fewer pairs
-    than N, so once half of the spectrum is asked for (as on the smallest
-    meshes) the same product is applied to the identity and the pencil is
-    solved densely.  Modes with lambda_i > tol * lambda_1 are retained, with
-    non-increasing eigenvalues; the eigenfields come out mass-orthonormal,
-    i.e. with unit L2 norm, in the canonical basis of _canonical_modes.
+    than N, and it costs more than the dense solve long before that, so the
+    same product is applied to the identity and the pencil is solved densely
+    once half of the spectrum is asked for (as on the smallest meshes) or a
+    grown request reaches N/8.  Modes with lambda_i > tol * lambda_1 are
+    retained, with non-increasing eigenvalues; the eigenfields come out
+    mass-orthonormal, i.e. with unit L2 norm, in the canonical basis of
+    _canonical_modes.
 
     Raises DimensionMismatch for a gamma that is not finite and >= 0, for
     tol <= 0 and for centroids that fill less than half of their lattice,
@@ -216,7 +229,7 @@ def build_kle(gamma: float, mesh: TriangularMesh, tol: float) -> KleBasis:
     mass_inverse = LinearOperator((n, n), matvec=mass_lu.solve, dtype=float)
     count = _FIRST_SUBSET
     while True:
-        dense = 2 * count >= n
+        dense = 2 * count >= n or (count > _FIRST_SUBSET and _DENSE_FRACTION * count >= n)
         try:
             if dense:
                 # eigh reads the lower triangles only, so G need not be symmetrized

@@ -153,6 +153,19 @@ class TestForwardSolve:
                 model.solve_state_batch(bad)
         assert model.solve_count == before
 
+    def test_batch_bits_do_not_depend_on_layout(self, darcy_level_3):
+        """A sample-last block (the layout of realize_batch) and its
+        row-major copy solve to the same bits, into row-major states."""
+        model, expansion = darcy_level_3
+        rng = np.random.default_rng(12)
+        xs = expansion.realize_batch(rng.uniform(-1.0, 1.0, size=(6, expansion.n_modes)))
+        sample_last = model.solve_state_batch(np.asfortranarray(xs))
+        row_major = model.solve_state_batch(np.ascontiguousarray(xs))
+        for states in (sample_last, row_major):
+            assert states.b.flags.c_contiguous and states.u.flags.c_contiguous
+            np.testing.assert_array_equal(states.b, xs)
+        np.testing.assert_array_equal(sample_last.u, row_major.u)
+
 
 class TestDerivativeSolves:
     def test_constant_direction_closed_form(self, mesh_level_2):

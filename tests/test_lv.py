@@ -11,15 +11,16 @@ from postpert.lv import (
     OBSERVED_DATA,
     LotkaVolterraModel,
     Trajectory,
+    _march,
     build_lotka_volterra,
     integrate,
-    integrate_derivative_many,
     lv_noise_covariance,
     lv_observe,
     lv_time_grid,
     observation_indices,
 )
 from postpert.model_api import evaluate_at
+from postpert.prior import AffineExpansion
 
 from oracles import lv_march, lv_variational_march, predator_prey_invariant
 
@@ -118,17 +119,28 @@ class TestIntegrator:
             LotkaVolterraModel(n_steps=100).solve_state_batch(xs)
 
     def test_batch_march_makes_no_full_size_copy(self):
-        """Peak traced memory stays below the size of the input paths, so
-        no (n+1, B) transposed table is built."""
+        """Peak traced memory stays below the size of the input paths for a
+        row-major and for a sample-last block: the march copies nothing,
+        whatever the layout."""
         model = LotkaVolterraModel(n_steps=1000)
-        xs = np.zeros((512, 1001))
-        tracemalloc.start()
-        try:
-            model.solve_state_batch(xs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < xs.nbytes
+        for xs in (np.zeros((512, 1001)), np.zeros((1001, 512)).T):
+            tracemalloc.start()
+            try:
+                model.solve_state_batch(xs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < xs.nbytes
+
+    def test_march_bits_do_not_depend_on_layout(self):
+        """A row-major block and its sample-last copy march to the same bits."""
+        rng = np.random.default_rng(25)
+        xs = np.cumsum(rng.normal(scale=0.3, size=(9, 201)), axis=1)
+        record = observation_indices(200)
+        row_major = _march(xs, record)
+        sample_last = _march(np.asfortranarray(xs), record)
+        for a, b in zip(row_major, sample_last):
+            np.testing.assert_array_equal(a, b)
 
     def test_trajectory_length_validation(self):
         with pytest.raises(DimensionMismatch):
@@ -136,52 +148,62 @@ class TestIntegrator:
 
 
 class TestVariationalSolves:
+    """Observation derivatives of linearize, taken from the adjoint sweeps."""
+
     def test_matches_central_differences(self):
         model, expansion = build_lotka_volterra(n_modes=8, n_steps=200)
-        base = integrate(expansion.x0)
-        mode = expansion.modes[2]
-        deriv = integrate_derivative_many(base, mode[None])[0]
-        idx = observation_indices(200)
+        _, dq = model.linearize(expansion, expansion.x0)
         h = 1e-4
-        fd = (model.observe(expansion.x0 + h * mode) - model.observe(expansion.x0 - h * mode)) / (
-            2 * h
-        )
-        got = np.empty(8)
-        got[0::2] = deriv[0, idx]
-        got[1::2] = deriv[1, idx]
-        np.testing.assert_allclose(got, fd, atol=1e-5)
+        for mode, got in zip(expansion.modes, dq):
+            fd = (model.observe(expansion.x0 + h * mode) - model.observe(expansion.x0 - h * mode)) / (
+                2 * h
+            )
+            np.testing.assert_allclose(got, fd, atol=1e-5)
 
     def test_linearity_in_the_direction(self):
         model, expansion = build_lotka_volterra(n_modes=4, n_steps=200)
-        base = integrate(expansion.x0)
-        single = integrate_derivative_many(base, expansion.modes[2:3])
-        doubled = integrate_derivative_many(base, 2.0 * expansion.modes[2:3])
-        np.testing.assert_array_equal(doubled, 2.0 * single)
+        doubled = AffineExpansion(expansion.x0, 2.0 * expansion.modes, expansion.laws)
+        q, dq = model.linearize(expansion, expansion.x0)
+        q2, dq2 = model.linearize(doubled, expansion.x0)
+        np.testing.assert_array_equal(q2, q)
+        np.testing.assert_array_equal(dq2, 2.0 * dq)
 
     def test_many_stacks_single_directions(self):
-        _, expansion = build_lotka_volterra(n_modes=3, n_steps=200)
-        base = integrate(expansion.x0)
-        stacked = integrate_derivative_many(base, expansion.modes)
+        """Up to the summation order of modes @ sensitivities, which BLAS
+        picks by the number of modes."""
+        model, expansion = build_lotka_volterra(n_modes=3, n_steps=200)
+        _, stacked = model.linearize(expansion, expansion.x0)
         for m, mode in enumerate(expansion.modes):
-            np.testing.assert_array_equal(stacked[m], integrate_derivative_many(base, mode[None])[0])
+            single = AffineExpansion(expansion.x0, mode[None], expansion.laws[:1])
+            _, dq = model.linearize(single, expansion.x0)
+            np.testing.assert_allclose(stacked[m], dq[0], rtol=0, atol=1e-14 * np.abs(dq).max())
 
-    def test_matches_plain_loop_oracle_bitwise(self):
-        """Coefficients formed once per grid index give the same bits as
-        forming them at every evaluation."""
+    def test_matches_plain_loop_oracle(self):
+        """Mode by mode against the tangent march of the plain-loop oracle,
+        relative to each mode's largest derivative: the two sum the same
+        terms in different orders (5.9e-15 measured)."""
         rng = np.random.default_rng(23)
         xi = np.cumsum(rng.normal(scale=0.3, size=201))
-        _, expansion = build_lotka_volterra(n_modes=3, n_steps=200)
+        model, expansion = build_lotka_volterra(n_modes=6, n_steps=200)
+        q, dq = model.linearize(expansion, xi)
+        np.testing.assert_array_equal(q, model.observe(xi))
         base = integrate(xi)
-        got = integrate_derivative_many(base, expansion.modes)
-        for m, mode in enumerate(expansion.modes):
+        idx = observation_indices(200)
+        for mode, got in zip(expansion.modes, dq):
             v1, v2 = lv_variational_march(base.y1, base.y2, xi, mode, CORRECTOR_SWEEPS)
-            np.testing.assert_array_equal(got[m, 0], v1)
-            np.testing.assert_array_equal(got[m, 1], v2)
+            want = np.empty(8)
+            want[0::2], want[1::2] = v1[idx], v2[idx]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
     def test_direction_grid_must_match_base(self):
-        base = integrate(np.zeros(201))
+        model, expansion = build_lotka_volterra(n_modes=2, n_steps=100)
         with pytest.raises(DimensionMismatch):
-            integrate_derivative_many(base, np.zeros((2, 105)))
+            model.linearize(expansion, np.zeros(201))
+
+    def test_solve_count_is_one_forward_plus_one_adjoint_per_observation(self):
+        model, expansion = build_lotka_volterra(n_modes=12, n_steps=200)
+        model.linearize(expansion, expansion.x0)
+        assert model.solve_count == 1 + model.observation_dim
 
 
 class TestObservation:

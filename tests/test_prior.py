@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,7 +96,37 @@ class TestAffineExpansion:
         batch = exp.realize_batch(u)
         for k in range(6):
             z = np.array([law.map_draw(d) for law, d in zip(exp.laws, u[k])])
-            np.testing.assert_allclose(batch[k], exp.x0 + exp.alpha * (z @ exp.modes))
+            np.testing.assert_allclose(
+                batch[k], exp.x0 + exp.alpha * (z @ exp.modes), rtol=1e-14, atol=0
+            )
+
+    def test_realize_batch_is_sample_last(self):
+        """Each field coordinate is one contiguous column across the batch."""
+        out = self._expansion().realize_batch(np.zeros((5, 2)))
+        assert out.shape == (5, 3)
+        assert out.T.flags.c_contiguous
+
+    def test_realize_batch_makes_no_full_size_temporary(self):
+        """Peak traced memory is the output plus one mapped copy of the
+        draws, with slack for numpy's 64 KiB ufunc buffer (the broadcast
+        shift by x0 takes one): no second (batch, dim) array is made."""
+        rng = np.random.default_rng(4)
+        dim, n_modes, batch = 1001, 100, 512
+        exp = AffineExpansion(
+            x0=np.ones(dim),
+            modes=rng.normal(size=(n_modes, dim)),
+            laws=(CoefficientLaw.uniform_shifted(0.5, 0.1),) * n_modes,
+            alpha=0.25,
+        )
+        u = rng.uniform(-1.0, 1.0, size=(batch, n_modes))
+        tracemalloc.start()
+        try:
+            out = exp.realize_batch(u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (batch, dim)
+        assert peak < out.nbytes + u.nbytes + 128 * 1024
 
     def test_point_from_shift_ignores_alpha(self):
         exp = self._expansion(alpha=0.125)
@@ -185,6 +216,27 @@ class TestKle:
             values, fields = kle_full_eigh(gaussian_kernel(KERNEL_GAMMA), mesh, 1e-8)
             np.testing.assert_allclose(basis.eigenvalues, values, rtol=0, atol=1e-15 * values[0])
             assert np.abs(basis.eigenfields - fields).max() <= 1e-10
+
+    def test_grown_request_switches_to_the_dense_solve(self, monkeypatch):
+        """A wide kernel at L4 keeps 228 of 289 modes.  The first request
+        (32 pairs) goes to ARPACK; the grown one (128, past N/8) goes to the
+        dense solve, not to a second Lanczos run.  The modes match the dense
+        oracle within the L4 bound of test_modes_match_full_dense_eigh."""
+        requests = []
+        lanczos = scipy.sparse.linalg.eigsh
+
+        def counted(operator, k, **kwargs):
+            requests.append(k)
+            return lanczos(operator, k, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+        mesh = build_unit_square_mesh(4)
+        basis = build_kle(250.0, mesh, 1e-2)
+        assert requests == [32]
+        values, fields = kle_full_eigh(gaussian_kernel(250.0), mesh, 1e-2)
+        assert len(values) == 228
+        np.testing.assert_allclose(basis.eigenvalues, values, rtol=1e-13, atol=0)
+        assert np.abs(basis.eigenfields - fields).max() <= 1e-10
 
     def test_off_lattice_mesh_raises(self):
         """Jittered interior nodes scatter the centroids off any lattice, so
