@@ -58,7 +58,9 @@ class StudyConfig:
 
     The type of each default picks how a raw value is coerced.  alphas are
     stored sorted descending without duplicates, which is also the row order
-    of every emitted report.
+    of every emitted report.  An empty prediction or reference resolves to
+    the model's default: the sampler its laws accept, qmc for darcy's
+    uniform laws and mc for the predator-prey normal laws.
     """
 
     model: str = "darcy"
@@ -66,7 +68,7 @@ class StudyConfig:
     prediction: str = ""
     alphas: tuple = tuple(2.0 ** -n for n in range(1, 7))
     centered: bool = True
-    reference: str = "qmc"
+    reference: str = ""
     samples: int = 10_000
     seed: int = 0
     mesh_level: int = 3
@@ -86,7 +88,8 @@ class StudyConfig:
     def validate(self) -> "StudyConfig":
         if self.model not in _MODELS:
             raise PostpertError(f"unknown model {self.model!r}; pick one of {_MODELS}")
-        if self.reference not in _REFERENCES:
+        reference = self.reference or ("qmc" if self.model == "darcy" else "mc")
+        if reference not in _REFERENCES:
             raise PostpertError(f"unknown reference {self.reference!r}")
         bad = [q for q in self.quantities() if q not in _QUANTITIES]
         if bad or not self.quantities():
@@ -119,7 +122,7 @@ class StudyConfig:
             prediction = self.prediction or "identity"
             if prediction != "identity":
                 raise PostpertError("lotka-volterra supports the identity prediction only")
-        return replace(self, prediction=prediction)
+        return replace(self, prediction=prediction, reference=reference)
 
 
 def _parse_bool(value) -> bool:
@@ -472,7 +475,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--centered", action="store_const", const=True,
                         help="zero-mean coefficient laws (default)")
     parser.add_argument("--uncentered", dest="centered", action="store_const", const=False)
-    parser.add_argument("--reference", choices=_REFERENCES)
+    parser.add_argument("--reference", choices=_REFERENCES,
+                        help="default: qmc for darcy, mc for lotka-volterra")
     parser.add_argument("--samples", type=int,
                         help="points (qmc), pairs (mc) or nodes per dimension (quadrature)")
     parser.add_argument("--seed", type=int)

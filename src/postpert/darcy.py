@@ -357,6 +357,8 @@ class DarcyModel(ForwardModel):
             dr_modes=dr_modes,
             d2r_expected=d2r_expected,
             reference=ref,
+            law_means=expansion.coefficient_means(),
+            law_variances=expansion.coefficient_variances(),
         )
 
 

@@ -266,6 +266,8 @@ class LotkaVolterraModel(ForwardModel):
             dr_modes=expansion.modes.copy(),
             d2r_expected=np.zeros_like(ref),
             reference=ref,
+            law_means=expansion.coefficient_means(),
+            law_variances=expansion.coefficient_variances(),
         )
 
 

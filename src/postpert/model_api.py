@@ -45,6 +45,8 @@ class ModelEvaluations:
     d2r_expected: E[D^2 R[z, z]] for z = sum_j z_j mode_j under the expansion's
                   laws, sum_j Var[z_j] D^2 R[mode_j, mode_j] + D^2 R[E z, E z], shape (Z,)
     reference:    the expansion point the solves were taken at
+    law_means:    E[z_j] of the expansion's laws, shape (M,)
+    law_variances: Var[z_j] of the expansion's laws, shape (M,)
 
     An affine prediction stores zeros for d2r_expected.
     """
@@ -55,6 +57,8 @@ class ModelEvaluations:
     dr_modes: np.ndarray
     d2r_expected: np.ndarray
     reference: np.ndarray
+    law_means: np.ndarray
+    law_variances: np.ndarray
 
     def __post_init__(self):
         for f in fields(self):
@@ -66,6 +70,8 @@ class ModelEvaluations:
             raise DimensionMismatch("r0 and dr_modes disagree on M or Z")
         if self.d2r_expected.shape != self.r0.shape:
             raise DimensionMismatch("d2r_expected must be shaped like r0")
+        if self.law_means.shape != (m,) or self.law_variances.shape != (m,):
+            raise DimensionMismatch("law means and variances need one entry per mode")
 
     @property
     def n_modes(self) -> int:

@@ -289,5 +289,10 @@ def brownian_bridge_modes(n_modes: int, tgrid) -> np.ndarray:
     if n_modes < 1:
         raise EmptyBasis("at least one mode required")
     t = np.asarray(tgrid, dtype=float)
-    k = np.arange(1, n_modes + 1)[:, None]
-    return np.sqrt(2.0) * np.sin(k * np.pi * t[None, :]) / (k * np.pi)
+    kpi = np.arange(1, n_modes + 1)[:, None] * np.pi
+    # one (M, N) array, each step in place
+    modes = kpi * t[None, :]
+    np.sin(modes, out=modes)
+    modes *= np.sqrt(2.0)
+    modes /= kpi
+    return modes

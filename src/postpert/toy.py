@@ -60,6 +60,8 @@ class ConjugateGaussianModel(ForwardModel):
             dr_modes=expansion.modes.copy(),
             d2r_expected=np.zeros_like(ref),
             reference=ref,
+            law_means=expansion.coefficient_means(),
+            law_variances=expansion.coefficient_variances(),
         )
 
 
@@ -162,4 +164,6 @@ class PolynomialToyModel(ForwardModel):
             dr_modes=modes @ jr.T,
             d2r_expected=d2r_expected,
             reference=ref,
+            law_means=expansion.coefficient_means(),
+            law_variances=expansion.coefficient_variances(),
         )

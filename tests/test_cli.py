@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import postpert.cli
+import postpert.expansion
 from postpert.cli import (
     StudyConfig,
     _fmt,
@@ -138,6 +139,14 @@ class TestConfigValidation:
     def test_darcy_prediction_defaults_to_pressure(self):
         assert make_config({}, {}).prediction == "r2"
 
+    def test_reference_defaults_to_the_sampler_the_laws_accept(self):
+        """Halton points for Darcy's uniform laws, antithetic normal draws
+        for the predator-prey standard-normal laws; a named one is kept."""
+        assert make_config({}, {}).reference == "qmc"
+        assert make_config({}, {"model": "lotka-volterra"}).reference == "mc"
+        assert make_config({}, {"model": "lotka-volterra", "reference": "qmc"}).reference == "qmc"
+        assert make_config({"reference": "none"}, {}).reference == "none"
+
 
 class TestFormattingHelpers:
     def test_float_round_trip(self):
@@ -264,6 +273,40 @@ class TestConvergeCommand:
         assert len(rows) == 1
         assert rows[0][7] == "failed:DimensionMismatch"
         assert math.isnan(float(rows[0][3]))
+
+    @pytest.mark.parametrize("command", ["converge", "refine"])
+    def test_predator_prey_default_reference_samples_its_laws(self, tmp_path, command):
+        """Without --reference the predator-prey study is checked against
+        antithetic normal draws, which its laws accept."""
+        out = tmp_path / "report.csv"
+        code = main([
+            command, "--model", "lotka-volterra", "--quantity", "mean",
+            "--alphas", "0.125", "--iterations", "3", "--samples", "64",
+            "--output", str(out),
+        ])
+        assert code == 0
+        if command == "refine":
+            out = Path(_sibling_path(str(out), "-final"))
+        header, row = _read_csv(out)
+        assert row[header.index("reference_kind")] == "mc"
+        assert not row[header.index("status")].startswith("failed")
+
+    @pytest.mark.parametrize("quantity, dense", [("mean", 0), ("covariance", 2)])
+    def test_only_second_moment_rows_densify(self, tmp_path, monkeypatch, quantity, dense):
+        """Against a sampled reference, a mean-only study forms no dense
+        expanded moment; a second-moment study forms one pair per alpha."""
+        real_densify = postpert.expansion._densify
+        calls = []
+
+        def densify(factors):
+            calls.append(factors.alpha)
+            return real_densify(factors)
+
+        monkeypatch.setattr(postpert.expansion, "_densify", densify)
+        out = tmp_path / "report.csv"
+        assert main(_converge_args(out, "--quantity", quantity, "--samples", "64")) == 0
+        assert all(r[7] == "ok" for r in _read_csv(out)[1:])
+        assert len(calls) == dense
 
     def test_unknown_config_key_exits_nonzero(self, tmp_path, capsys):
         cfg = tmp_path / "study.cfg"

@@ -5,11 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from postpert.darcy import build_darcy
 from postpert.errors import DimensionMismatch, SolverFailure
 from postpert.estimators import tensor_grid_oracle
 from postpert.expansion import PosteriorMoments, expand_posterior_moments
 from postpert.linalg import SpdMatrix
-from postpert.model_api import MeasurementSetup, ModelEvaluations, data_coupling, evaluate_at
+from postpert.model_api import (
+    MeasurementSetup,
+    ModelEvaluations,
+    data_coupling,
+    evaluate_at,
+    generate_data,
+)
 from postpert.prior import AffineExpansion, CoefficientLaw
 from postpert.refine import run_refinement
 from postpert.toy import ConjugateGaussianModel
@@ -17,6 +24,17 @@ from postpert.toy import ConjugateGaussianModel
 from oracles import conjugate_posterior_1d, expansion_moments
 
 TOY_DATA = np.array([0.25, -0.05])
+
+
+def _law_moments(laws):
+    """The law_means and law_variances fields of a bundle taken under laws."""
+    return dict(
+        law_means=[law.mean for law in laws], law_variances=[law.variance for law in laws]
+    )
+
+
+def _uniform_laws(n):
+    return tuple(CoefficientLaw.uniform_symmetric(1.0) for _ in range(n))
 
 
 def _still_evals(r0, n_modes=2, z=2, k=2):
@@ -28,11 +46,8 @@ def _still_evals(r0, n_modes=2, z=2, k=2):
         dr_modes=np.zeros((n_modes, z)),
         d2r_expected=np.zeros(z),
         reference=np.zeros(z),
+        **_law_moments(_uniform_laws(n_modes)),
     )
-
-
-def _uniform_laws(n):
-    return tuple(CoefficientLaw.uniform_symmetric(1.0) for _ in range(n))
 
 
 class TestDegenerateInputs:
@@ -122,6 +137,7 @@ class TestRankOneCovariance:
     def test_single_mode_formula(self):
         v = np.array([2.0, -1.0, 0.5])
         lam = 0.9
+        laws = (CoefficientLaw.uniform_symmetric(np.sqrt(lam)),)
         ev = ModelEvaluations(
             q0=np.zeros(1),
             dq_modes=np.zeros((1, 1)),
@@ -129,8 +145,8 @@ class TestRankOneCovariance:
             dr_modes=v[None, :],
             d2r_expected=np.zeros(3),
             reference=np.zeros(3),
+            **_law_moments(laws),
         )
-        laws = (CoefficientLaw.uniform_symmetric(np.sqrt(lam)),)
         meas = MeasurementSetup(data=np.ones(1), sigma=SpdMatrix(np.eye(1)))
         got = expand_posterior_moments(ev, meas, laws, alpha=0.5).covariance
         assert np.allclose(got, 0.25 * lam / 3.0 * np.outer(v, v), rtol=1e-13)
@@ -190,6 +206,22 @@ class TestMomentsBundle:
                 correlation=np.zeros((3, 3)),
                 covariance=np.zeros((2, 2)),
             )
+        with pytest.raises(DimensionMismatch):
+            PosteriorMoments(np.zeros(2), np.zeros((2, 2)), np.zeros(2))
+
+    def test_dense_reads_are_formed_once(self, toy_pair):
+        """Both dense moments come from one densification, kept for later reads."""
+        model, expansion = toy_pair
+        meas = MeasurementSetup(data=TOY_DATA, sigma=model.noise_covariance())
+        moments = expand_posterior_moments(evaluate_at(model, expansion), meas, expansion.laws, 0.3)
+        cov = moments.covariance
+        corr = moments.correlation
+        assert moments.covariance is cov and moments.correlation is corr
+
+    def test_dense_moments_are_read_only_attributes(self):
+        moments = PosteriorMoments(np.zeros(2), np.eye(2), np.eye(2))
+        with pytest.raises(AttributeError):
+            moments.covariance = np.zeros((2, 2))
 
 
 _LAW_FAMILIES = {
@@ -203,18 +235,18 @@ _LAW_FAMILIES = {
 
 def _random_case(rng, k, z, m, second, family):
     """A random derivative bundle, measurement and law tuple."""
-    ev = ModelEvaluations(
+    derivatives = dict(
         q0=rng.normal(size=k),
         dq_modes=rng.normal(size=(m, k)),
         r0=rng.normal(size=z),
         dr_modes=rng.normal(size=(m, z)),
         d2r_expected=rng.normal(size=z) if second else np.zeros(z),
-        reference=np.zeros(3),
     )
     root = rng.normal(size=(k, k))
     sigma = SpdMatrix(root @ root.T + k * np.eye(k))
     meas = MeasurementSetup(data=rng.normal(size=k), sigma=sigma)
     laws = tuple(_LAW_FAMILIES[family](rng) for _ in range(m))
+    ev = ModelEvaluations(**derivatives, reference=np.zeros(3), **_law_moments(laws))
     return ev, meas, laws
 
 
@@ -282,12 +314,35 @@ class TestInputValidation:
             expand_posterior_moments(ev, meas, laws, 0.25)
 
 
+    def test_laws_must_be_the_bundles(self):
+        """Laws with the bundle's count but other moments are refused."""
+        ev, meas, laws = self._case()
+        wider = tuple(CoefficientLaw.uniform_symmetric(2.0 * law.halfwidth) for law in laws)
+        with pytest.raises(DimensionMismatch, match="laws"):
+            expand_posterior_moments(ev, meas, wider, 0.25)
+
+    def test_darcy_bundle_refuses_shifted_laws(self):
+        """A centered Darcy r2 bundle expanded with the shifted laws, which
+        share its variances, would give a mean 2.4e-3 away; it raises."""
+        centered_model, centered = build_darcy(3, centered=True, prediction="r2")
+        _, shifted = build_darcy(3, centered=False, prediction="r2")
+        meas = generate_data(centered_model, centered, seed=0)
+        ev = evaluate_at(centered_model, centered)
+        expand_posterior_moments(ev, meas, centered.laws, 0.25)
+        with pytest.raises(DimensionMismatch, match="laws"):
+            expand_posterior_moments(ev, meas, shifted.laws, 0.25)
+
+
 class TestMemoryProfile:
-    def test_peak_is_two_square_arrays_plus_factors(self):
-        """At Z = 1001 and M = 100 one expansion holds two Z x Z arrays, the
-        outputs, plus working arrays of at most two (M, Z) factors."""
-        z, m, k = 1001, 100, 3
+    """At Z = 1001 and M = 100, an expansion holds (M, Z) factors only; the
+    first dense read forms the two Z x Z arrays."""
+
+    Z, M, K = 1001, 100, 3
+
+    def _case(self):
+        z, m, k = self.Z, self.M, self.K
         rng = np.random.default_rng(11)
+        laws = tuple(CoefficientLaw.standard_normal() for _ in range(m))
         ev = ModelEvaluations(
             q0=rng.normal(size=k),
             dq_modes=rng.normal(size=(m, k)),
@@ -295,14 +350,34 @@ class TestMemoryProfile:
             dr_modes=rng.normal(size=(m, z)),
             d2r_expected=rng.normal(size=z),
             reference=np.zeros(3),
+            **_law_moments(laws),
         )
         meas = MeasurementSetup(data=rng.normal(size=k), sigma=SpdMatrix(np.eye(k)))
-        laws = tuple(CoefficientLaw.standard_normal() for _ in range(m))
+        return ev, meas, laws
+
+    @staticmethod
+    def _peak(fn):
         tracemalloc.start()
         try:
-            moments = expand_posterior_moments(ev, meas, laws, 0.25)
+            result = fn()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert moments.covariance.shape == (z, z)
+        return result, peak
+
+    def test_expansion_forms_no_square_array(self):
+        z, m = self.Z, self.M
+        ev, meas, laws = self._case()
+        moments, peak = self._peak(lambda: expand_posterior_moments(ev, meas, laws, 0.25))
+        assert peak < (2 * m * z + 8 * z) * 8, f"peak {peak / (m * z * 8):.3f} (M, Z) arrays"
+        assert moments.factors is not None
+
+    def test_first_dense_read_is_two_square_arrays(self):
+        z, m = self.Z, self.M
+        moments = expand_posterior_moments(*self._case(), 0.25)
+        cov, peak = self._peak(lambda: moments.covariance)
+        assert cov.shape == (z, z)
+        # the outputs plus working arrays (mirror tiles) far below the factors' size
         assert peak <= (2 * z * z + 2 * m * z) * 8, f"peak {peak / (z * z * 8):.3f} Z x Z arrays"
+        _, again = self._peak(lambda: moments.correlation)
+        assert again < m * z * 8

@@ -32,6 +32,8 @@ class TestModelEvaluations:
             dr_modes=np.ones((3, 4)),
             d2r_expected=np.zeros(4),
             reference=np.zeros(5),
+            law_means=np.zeros(3),
+            law_variances=np.ones(3),
         )
 
     def test_complete_bundle_accepted(self):
@@ -49,6 +51,8 @@ class TestModelEvaluations:
             ("q0", np.zeros(3)),
             ("d2r_expected", np.zeros(3)),
             ("d2r_expected", np.zeros((3, 4))),
+            ("law_means", np.zeros(2)),
+            ("law_variances", np.ones((3, 1))),
         ):
             kwargs = self._base_kwargs()
             kwargs[field] = bad
@@ -94,6 +98,14 @@ class TestEvaluateAt:
         ev = evaluate_at(*_EVERY_MODEL[name]())
         assert ev.d2r_expected.shape == ev.r0.shape
         assert ev.d2r_expected.any()
+
+    @pytest.mark.parametrize("name", sorted(_EVERY_MODEL))
+    def test_bundle_carries_its_laws(self, name):
+        """Every model records the law moments its bundle was taken with."""
+        model, expansion = _EVERY_MODEL[name]()
+        ev = evaluate_at(model, expansion)
+        np.testing.assert_array_equal(ev.law_means, expansion.coefficient_means())
+        np.testing.assert_array_equal(ev.law_variances, expansion.coefficient_variances())
 
     def test_centered_laws_zero_mean_direction(self, toy_pair_centered):
         """Centered laws leave only the variance-weighted mode curvatures."""

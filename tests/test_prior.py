@@ -344,6 +344,28 @@ class TestBrownianBridgeModes:
         with pytest.raises(EmptyBasis):
             brownian_bridge_modes(0, np.linspace(0.0, 1.0, 11))
 
+    @pytest.mark.parametrize("m, n", [(1, 11), (7, 200), (100, 1001)])
+    def test_bitwise_equal_to_the_closed_form(self, m, n):
+        t = np.linspace(0.0, 1.0, n)
+        k = np.arange(1, m + 1)[:, None]
+        want = np.sqrt(2.0) * np.sin(k * np.pi * t[None, :]) / (k * np.pi)
+        assert np.array_equal(brownian_bridge_modes(m, t), want)
+
+    def test_peak_is_the_output_plus_ufunc_buffers(self):
+        """The modes are built in place in their one (M, N) array; the only
+        other allocations are numpy's two broadcasting buffers of
+        np.getbufsize() floats (16 rows here), where the closed form held
+        two full (M, N) temporaries."""
+        m, n = 100, 1001
+        t = np.linspace(0.0, 1.0, n)
+        tracemalloc.start()
+        try:
+            brownian_bridge_modes(m, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (m * n + 2 * np.getbufsize() + 2 * n) * 8, f"{peak / (n * 8):.2f} rows"
+
 
 class TestKleExport:
     def test_round_trip(self, tmp_path):
