@@ -99,13 +99,11 @@ _ABOVE_DIAGONAL = np.triu(np.ones((_MIRROR_TILE, _MIRROR_TILE), dtype=bool), 1)
 def _check_inputs(evals: ModelEvaluations, meas: MeasurementSetup, laws, alpha) -> None:
     if not 0.0 < alpha < np.inf:
         raise DimensionMismatch("scale alpha must be positive and finite")
-    m, k = evals.dq_modes.shape
-    if len(laws) != m:
-        raise DimensionMismatch(f"{len(laws)} coefficient laws for {m} modes")
     means = np.array([law.mean for law in laws])
     variances = np.array([law.variance for law in laws])
     if not (np.array_equal(means, evals.law_means) and np.array_equal(variances, evals.law_variances)):
         raise DimensionMismatch("coefficient laws differ from those the bundle was evaluated with")
+    k = evals.q0.shape[0]
     if meas.data.shape != (k,):
         raise DimensionMismatch(f"data {meas.data.shape} does not match {k} observations")
 
