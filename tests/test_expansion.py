@@ -372,7 +372,8 @@ class TestMemoryProfile:
         assert peak < (2 * m * z + 8 * z) * 8, f"peak {peak / (m * z * 8):.3f} (M, Z) arrays"
         assert moments.factors is not None
 
-    def test_first_dense_read_is_two_square_arrays(self):
+    def test_peak_is_two_square_arrays_plus_factors(self):
+        """The first dense read forms both outputs; later reads form nothing."""
         z, m = self.Z, self.M
         moments = expand_posterior_moments(*self._case(), 0.25)
         cov, peak = self._peak(lambda: moments.covariance)
