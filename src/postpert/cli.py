@@ -218,11 +218,13 @@ def reference_budget(cfg: StudyConfig):
 
 
 def _moment_error(model, quantity: str, got, ref) -> float:
-    if quantity == "mean":
-        return model.field_error_norm(got.mean - ref.mean)
-    return model.tensor_error_norm(
-        getattr(got, quantity) - getattr(ref, quantity)
+    """Error of one quantity; a bare array is a mean (a mean-only sweep's)."""
+    got, ref = (
+        m if isinstance(m, np.ndarray) else getattr(m, quantity) for m in (got, ref)
     )
+    if quantity == "mean":
+        return model.field_error_norm(got - ref)
+    return model.tensor_error_norm(got - ref)
 
 
 def _map_ordered(fn, items, threads: int) -> list:
@@ -274,6 +276,8 @@ def run_convergence_study(cfg: StudyConfig) -> list:
     meas = study_measurement(cfg, model, expansion)
     budget = reference_budget(cfg)
     quantities = cfg.quantities()
+    # a mean-only study reads no sampled second moment, so none is summed
+    second_moment = set(quantities) != {"mean"}
 
     evals = evaluate_at(model, expansion)
 
@@ -285,7 +289,7 @@ def run_convergence_study(cfg: StudyConfig) -> list:
             if budget is not None:
                 grid, half_grid = estimate_posterior_sweep(
                     [model], expansion.with_alpha(alpha), [meas], budget,
-                    half_split=True,
+                    second_moment=second_moment, half_split=True,
                 )
                 ref, half = grid[0][0], half_grid[0][0]
         except PostpertError as exc:

@@ -82,16 +82,22 @@ UNCENTERED_OFFSET = 0.1
 
 def _triangle_means(mesh: TriangularMesh, nodal: np.ndarray) -> np.ndarray:
     """Centroid values of nodal fields, (N,) -> (T,) or (M, N) -> (M, T)."""
-    # the three vertex columns added left to right: the bits of mean(axis=-1),
-    # without its (..., T, 3) gather and per-call overhead
+    # the three vertex columns added left to right in one buffer: the bits of
+    # mean(axis=-1), without its (..., T, 3) gather and per-call overhead
     tri = mesh.triangles
-    return (nodal[..., tri[:, 0]] + nodal[..., tri[:, 1]] + nodal[..., tri[:, 2]]) / 3.0
+    out = nodal[..., tri[:, 0]]
+    out += nodal[..., tri[:, 1]]
+    out += nodal[..., tri[:, 2]]
+    out /= 3.0
+    return out
 
 
 def _conductivity(mesh: TriangularMesh, b) -> np.ndarray:
+    """exp of the centroid values of b, (N,) -> (T,) or (B, N) -> (B, T)."""
+    coef = _triangle_means(mesh, np.asarray(b, dtype=float))
     # overflow is handled by the finiteness check, not by a warning
     with np.errstate(over="ignore"):
-        coef = np.exp(_triangle_means(mesh, np.asarray(b, dtype=float)))
+        np.exp(coef, out=coef)
     if not np.all(np.isfinite(coef)):
         raise SolverFailure("conductivity overflowed or is not finite")
     return coef
@@ -137,7 +143,7 @@ class DarcyProblem:
         from scipy.sparse import csr_array
 
         mesh = self.mesh
-        idx = mesh.interior
+        self.interior = idx = mesh.interior
         self.n_int = len(idx)
         renum = -np.ones(mesh.n_nodes, dtype=np.int64)
         renum[idx] = np.arange(self.n_int)
@@ -206,7 +212,7 @@ class BandedStiffness:
         # shape (pbtrs reports only malformed arguments)
         x, _ = _PBTRS(self._factor, rhs_int, lower=1)
         out = np.zeros((self.problem.mesh.n_nodes,) + x.shape[1:])
-        out[self.problem.mesh.interior] = x
+        out[self.problem.interior] = x
         return out
 
     def _element_vectors(self, u) -> np.ndarray:

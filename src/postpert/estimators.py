@@ -16,6 +16,11 @@ weights.  One loop accumulates every stream in its fixed block order, so
 results are bitwise reproducible regardless of how callers schedule work.
 The first half of a (Q)MC budget is a prefix of that order, so the half
 estimate used as a noise gauge is the accumulators' state at that point.
+
+A sweep holds one block's working set at a time: the block's draws,
+realized fields, model states, observations, log-weights and predictions
+are dropped before the stream draws the next block, so only the weighted
+sums outlive it.
 """
 
 from __future__ import annotations
@@ -128,11 +133,34 @@ def _misfit_logweights(q: np.ndarray, meas: MeasurementSetup) -> np.ndarray:
     return np.where(finite, -0.5 * np.einsum("bk,kb->b", resid, solved), np.nan)
 
 
+def _halton_block(start: int, stop: int, bases: np.ndarray) -> np.ndarray:
+    """Halton points start..stop-1 mapped to [-1, 1), one column per base."""
+    idx = np.arange(start, stop)
+    u = np.column_stack([_radical_inverse(idx, int(b)) for b in bases])
+    u *= 2.0
+    u -= 1.0
+    return u
+
+
+def _antithetic_block(rng: np.random.Generator, npairs: int, m: int) -> np.ndarray:
+    """2 npairs rows of normal draws, each pair (z, -z); the uniforms are
+    clipped and mapped through ndtri in their own buffer."""
+    z = rng.random((npairs, m))
+    np.clip(z, 1e-300, 1.0 - 1e-16, out=z)
+    ndtri(z, out=z)
+    native = np.empty((2 * npairs, m))
+    native[0::2] = z
+    np.negative(z, out=native[1::2])
+    return native
+
+
 def _sample_stream(expansion: AffineExpansion, budget: SampleBudget):
     """Yield (native_draws, log_sampling_weight) blocks in a fixed order.
 
     The sampling weight is 1 (log weight 0) for Halton points and antithetic
     draws, and the tensorized Gauss weight of each node for the tensor grid.
+    A (Q)MC block is formed in a helper, so the suspended generator holds
+    none of its arrays while the caller works on the block.
     """
     kinds = {law.kind for law in expansion.laws}
     m = expansion.n_modes
@@ -141,22 +169,14 @@ def _sample_stream(expansion: AffineExpansion, budget: SampleBudget):
             raise DimensionMismatch("Halton sampling requires uniform coefficient laws")
         bases = first_primes(m)
         for start in range(1, budget.count + 1, _BATCH):
-            idx = np.arange(start, min(start + _BATCH, budget.count + 1))
-            u = np.column_stack([_radical_inverse(idx, int(b)) for b in bases])
-            yield 2.0 * u - 1.0, 0.0
+            yield _halton_block(start, min(start + _BATCH, budget.count + 1), bases), 0.0
     elif budget.kind == "antithetic-mc":
         if kinds != {"standard-normal"}:
             raise DimensionMismatch("antithetic sampling requires standard-normal laws")
         rng = np.random.Generator(np.random.Philox(budget.seed))
         pair_batch = _BATCH // 2
         for done in range(0, budget.count, pair_batch):
-            npairs = min(pair_batch, budget.count - done)
-            u = rng.random((npairs, m))
-            z = ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
-            native = np.empty((2 * npairs, m))
-            native[0::2] = z
-            native[1::2] = -z
-            yield native, 0.0
+            yield _antithetic_block(rng, min(pair_batch, budget.count - done), m), 0.0
     else:
         n = budget.count
         if m > 6:
@@ -227,8 +247,9 @@ def estimate_posterior_sweep(
     half_rows = _first_half_rows(budget) if half_split else None
     done = 0
     for native, logw_sampling in _sample_stream(expansion, budget):
-        xs = expansion.realize_batch(native)
-        states = base.solve_state_batch(xs)
+        # the realized fields are passed on unnamed, so a model that copies
+        # them (Darcy's row-major solve) can let them go before it solves
+        states = base.solve_state_batch(expansion.realize_batch(native))
         q = base.observe_state_batch(states)
         logw = [logw_sampling + _misfit_logweights(q, meas) for meas in meas_list]
         for lw in logw:
@@ -251,6 +272,9 @@ def estimate_posterior_sweep(
                     half[i][j].add(logw[j][:lead], r[:lead])
                 acc[i][j].add(logw[j], r)
         done += len(native)
+        # one block's working set at a time: nothing of this block stays
+        # alive while the stream draws, realizes and solves the next
+        del native, logw_sampling, states, q, logw, r
 
     def result(a):
         if a is None:

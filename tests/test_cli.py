@@ -308,6 +308,42 @@ class TestConvergeCommand:
         assert all(r[7] == "ok" for r in _read_csv(out)[1:])
         assert len(calls) == dense
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "study",
+        [
+            ["--model", "darcy", "--mesh-level", "2", "--kle-tol", "0.01",
+             "--reference", "qmc", "--samples", "800"],
+            ["--model", "lotka-volterra", "--reference", "mc", "--samples", "64"],
+        ],
+        ids=["darcy", "lotka-volterra"],
+    )
+    def test_mean_only_study_sums_no_second_moment(self, tmp_path, monkeypatch, study, threads):
+        """A mean-only study asks its sweeps for no second moment, and its
+        report is the all-quantity report's header and mean rows, byte for
+        byte."""
+        real_sweep = postpert.cli.estimate_posterior_sweep
+        asked = []
+
+        def sweep(*args, **kwargs):
+            asked.append(kwargs.get("second_moment", True))
+            return real_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(postpert.cli, "estimate_posterior_sweep", sweep)
+        reports = {}
+        for quantity in ("mean", "all"):
+            reports[quantity] = tmp_path / f"{quantity}.csv"
+            assert main([
+                "converge", *study, "--alphas", "0.25,0.125", "--seed", "3",
+                "--quantity", quantity, "--threads", threads,
+                "--output", str(reports[quantity]),
+            ]) == 0
+        assert asked == [False, False, True, True]
+        header, *rows = reports["all"].read_bytes().splitlines(keepends=True)
+        mean_rows = [row for row in rows if row.split(b",")[1] == b"mean"]
+        assert len(mean_rows) == 2
+        assert reports["mean"].read_bytes() == header + b"".join(mean_rows)
+
     def test_unknown_config_key_exits_nonzero(self, tmp_path, capsys):
         cfg = tmp_path / "study.cfg"
         cfg.write_text("mesh_depth = 2\n")

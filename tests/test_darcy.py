@@ -18,13 +18,16 @@ from postpert.darcy import (
     BandedStiffness,
     DarcyModel,
     DarcyProblem,
+    _conductivity,
+    _triangle_means,
     build_darcy,
     build_darcy_kle,
     darcy_noise_covariance,
 )
 from postpert.errors import DimensionMismatch, SolverFailure
+from postpert.estimators import _BATCH, SampleBudget, estimate_posterior_sweep
 from postpert.fem import build_unit_square_mesh, load_vector
-from postpert.model_api import evaluate_at
+from postpert.model_api import MeasurementSetup, evaluate_at
 from postpert.prior import CLUSTER_RTOL
 
 from oracles import (
@@ -498,6 +501,49 @@ class TestProblemMemory:
         finally:
             tracemalloc.stop()
         assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+
+
+class TestConductivity:
+    def test_in_place_sum_has_the_bits_of_the_triangle_means(self, mesh_level_3):
+        rng = np.random.default_rng(5)
+        block = rng.normal(size=(7, mesh_level_3.n_nodes))
+        t0, t1, t2 = mesh_level_3.triangles.T
+        for b in (block, block[2]):
+            got = _conductivity(mesh_level_3, b)
+            np.testing.assert_array_equal(got, np.exp(_triangle_means(mesh_level_3, b)))
+            # the out-of-place sum the in-place one replaces
+            np.testing.assert_array_equal(got, np.exp((b[..., t0] + b[..., t1] + b[..., t2]) / 3.0))
+
+
+class TestSweepMemory:
+    def test_level_4_halton_sweep_holds_one_block(self):
+        """A two-block r1 + r2 Halton sweep with the half split.  One
+        block's row-major fields are 9.0 MiB and its conductivity table
+        16 MiB.  Holding the previous block while the next was realized and
+        solved, with four (B, T) arrays for one table, peaked at 88 MiB; one
+        block at a time, with the table formed in place, peaks at about
+        44 MiB: the fields, the table and one vertex gather."""
+        r1, expansion = build_darcy(4, prediction="r1")
+        models = [r1, DarcyModel(r1.problem, "r2")]
+        expansion = expansion.with_alpha(0.125)
+        meas = [MeasurementSetup(STUDY_OBSERVATIONS, darcy_noise_covariance())]
+
+        def sweep(points):
+            return estimate_posterior_sweep(
+                models, expansion, meas, SampleBudget("halton", points), half_split=True
+            )
+
+        sweep(8)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            sweep(2 * _BATCH)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        mesh = r1.problem.mesh
+        fields, table = (_BATCH * n * 8 for n in (mesh.n_nodes, mesh.n_triangles))
+        bound = 2 * (fields + table)
+        assert peak < bound, f"peak {peak / 2 ** 20:.1f} MiB, bound {bound / 2 ** 20:.1f} MiB"
 
 
 class TestStudyObservations:
