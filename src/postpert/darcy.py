@@ -279,6 +279,10 @@ class DarcyModel(ForwardModel):
         self.prediction = prediction
 
     @property
+    def prediction_is_parameter(self) -> bool:
+        return self.prediction == "r1"
+
+    @property
     def parameter_dim(self) -> int:
         return self.problem.mesh.n_nodes
 

@@ -8,8 +8,12 @@ The populations solve
 where the perturbation path xi is the model parameter.  Time stepping is an
 explicit Euler predictor followed by a fixed number of implicit-Euler
 fixed-point sweeps, run by one batch kernel over a (2, B) state of prey and
-predator rows; a single path is a batch of one.  Observations are both
-populations at t = 1/4, 1/2, 3/4, 1.
+predator rows; a single path is a batch of one.  The kernel reads the
+forcing one time point at a time: rows of given paths, or, for a sampled
+block of expansion coefficients, rows of slabs of REALIZE_SLAB time points
+realized in turn with the bits realize_batch gives, so a sampled block
+never holds its (B, n+1) paths.  Observations are both populations at
+t = 1/4, 1/2, 3/4, 1.
 
 Observation derivatives are exact derivatives of the discrete map, taken
 from K adjoint sweeps rather than M tangent ones.  The tangent v of one
@@ -34,7 +38,7 @@ import numpy as np
 from .errors import DimensionMismatch, NonPositiveState
 from .linalg import SpdMatrix
 from .model_api import ForwardModel, ModelEvaluations
-from .prior import AffineExpansion, CoefficientLaw, brownian_bridge_modes
+from .prior import REALIZE_SLAB, AffineExpansion, CoefficientLaw, brownian_bridge_modes
 
 GROWTH = 15.0 / 2.0
 DECAY = 15.0 / 2.0
@@ -70,22 +74,38 @@ class Trajectory:
                 raise DimensionMismatch("trajectory arrays must share the grid length")
 
 
-def _march(xi, record, y_init=INITIAL_STATE):
+def _coefficient_paths(expansion, z):
+    """The paths of expansion coefficients z (M, B), one (B,) time point at
+    a time in time order.  They are realized REALIZE_SLAB time points at a
+    time into one reused buffer, with the bits of realize_batch, so no
+    (B, n+1) block is formed.  The expansion is read through its attributes
+    only."""
+    dim = expansion.dim
+    buf = np.empty((min(REALIZE_SLAB, dim), z.shape[1]))
+    for start in range(0, dim, REALIZE_SLAB):
+        yield from expansion.realize_slab(z, start, buf[:min(REALIZE_SLAB, dim - start)])
+
+
+def _march(forcing, n_steps, record, y_init=INITIAL_STATE):
     """The nonlinear predictor-corrector march for a batch of paths.
 
-    xi is a batch of paths (B, n+1).  Returns y1 and y2 at the grid indices
-    in record, each shaped (B, len(record)).  The state is one (2, B) array
-    of prey and predator rows, and each rate is written in factored form
+    forcing yields the paths' values at t_0, ..., t_n in time order, one
+    (B,) row per time point: the rows of a transposed (B, n+1) block (views,
+    contiguous for a sample-last block as realize_batch returns it, strided
+    for a row-major one) or _coefficient_paths.  Each row is read once and
+    may be overwritten once the next is asked for, so the march needs no
+    (B, n+1) block.  Returns y1 and y2 at the grid indices in record, each
+    shaped (B, len(record)).  The state is one (2, B) array of prey and
+    predator rows, and each rate is written in factored form
     y * (k0 + k1 * other) with the step size folded into k0 and k1, so the
     predictor and every corrector sweep are four in-place ufuncs on
-    preallocated (2, B) buffers.  The growth row of a step's end point, the
-    only forcing the corrector sees, is formed once per step from the
-    column xi[:, n+1] and carried over as the next step's start.  Those
-    column reads are contiguous for a sample-last block (as realize_batch
-    returns) and strided for a row-major one; either way xi is not copied,
-    and the bits do not depend on its layout.
+    preallocated (2, B) buffers.  The growth row of a step's end point, the only forcing the corrector
+    sees, is formed once per step from that point's row and carried over as
+    the next step's start.  The bits do not depend on the rows' layout.
     """
-    batch, n_steps = xi.shape[0], xi.shape[1] - 1
+    forcing = iter(forcing)
+    xi_first = next(forcing)
+    batch = len(xi_first)
     h = 1.0 / n_steps
     slot = {int(i): k for k, i in enumerate(record)}
     out = np.empty((2, batch, len(slot)))
@@ -96,11 +116,11 @@ def _march(xi, record, y_init=INITIAL_STATE):
     k1 = np.array([[-h * PREDATION], [h * CONVERSION]])
     k_now, k_next = np.empty((2, 2, batch))
     k_now[1] = k_next[1] = -h * DECAY
-    np.add(GROWTH, xi[:, 0], out=k_now[0])
+    np.add(GROWTH, xi_first, out=k_now[0])
     k_now[0] *= h
     s, f = np.empty((2, 2, batch))
     for n in range(n_steps):
-        np.add(GROWTH, xi[:, n + 1], out=k_next[0])
+        np.add(GROWTH, next(forcing), out=k_next[0])
         k_next[0] *= h
         np.multiply(k1, y[::-1], out=s)
         s += k_now
@@ -128,7 +148,7 @@ def integrate(xi, y_init=INITIAL_STATE) -> Trajectory:
     """March the nonlinear system across the grid defined by the path xi."""
     xi = np.asarray(xi, dtype=float)
     tgrid = lv_time_grid(len(xi) - 1)
-    y1, y2 = _march(xi[None], range(len(tgrid)), y_init)
+    y1, y2 = _march(xi[:, None], len(xi) - 1, range(len(tgrid)), y_init)
     return Trajectory(tgrid, y1[0], y2[0], xi)
 
 
@@ -192,6 +212,9 @@ def lv_noise_covariance(sigma_scale: float) -> SpdMatrix:
 
 
 class LvState:
+    """Observed populations of a batch, with its paths when they were given
+    (xi is None for a batch solved from expansion coefficients)."""
+
     __slots__ = ("xi", "observed")
 
     def __init__(self, xi, observed):
@@ -200,7 +223,14 @@ class LvState:
 
 
 class LotkaVolterraModel(ForwardModel):
-    """Forward model whose parameter is the perturbation path itself."""
+    """Forward model whose parameter is the perturbation path itself.
+
+    A sampled reference passes coefficient blocks to solve_coefficient_batch,
+    which marches their paths a slab at a time, and sums the prediction in
+    coefficient space (prediction_is_parameter).
+    """
+
+    prediction_is_parameter = True
 
     def __init__(self, n_steps: int = 1000, sigma_scale: float = 10.0):
         super().__init__()
@@ -221,18 +251,33 @@ class LotkaVolterraModel(ForwardModel):
     def prediction_dim(self) -> int:
         return self.n_steps + 1
 
+    def _observed(self, forcing, batch: int) -> np.ndarray:
+        y1, y2 = _march(forcing, self.n_steps, self._obs_idx)
+        snap = np.empty((batch, self.observation_dim))
+        snap[:, 0::2], snap[:, 1::2] = y1, y2
+        self.solve_count += batch
+        return snap
+
     def solve_state_batch(self, xs) -> LvState:
         xs = self._parameter_batch(xs)
-        y1, y2 = _march(xs, self._obs_idx)
-        snap = np.empty((len(xs), self.observation_dim))
-        snap[:, 0::2], snap[:, 1::2] = y1, y2
-        self.solve_count += len(xs)
-        return LvState(xi=xs, observed=snap)
+        return LvState(xi=xs, observed=self._observed(xs.T, len(xs)))
+
+    def solve_coefficient_batch(self, expansion, z) -> LvState:
+        """States of the paths of expansion coefficients z (n_modes, B),
+        realized a slab of time points at a time; observed bit for bit as
+        solve_state_batch observes the realized block."""
+        if expansion.dim != self.parameter_dim:
+            raise DimensionMismatch(
+                f"expansion dim {expansion.dim} does not match parameter_dim {self.parameter_dim}"
+            )
+        return LvState(xi=None, observed=self._observed(_coefficient_paths(expansion, z), z.shape[1]))
 
     def observe_state_batch(self, states: LvState) -> np.ndarray:
         return states.observed
 
     def predict_state_batch(self, states: LvState) -> np.ndarray:
+        if states.xi is None:
+            raise DimensionMismatch("states solved from coefficients hold no paths to predict")
         return states.xi
 
     def noise_covariance(self) -> SpdMatrix:

@@ -86,7 +86,21 @@ class ForwardModel:
     parameters (B, parameter_dim); observe and predict are a batch of one.
     solve_count tracks every forward or derivative solve so tests can assert
     how much work a study performed.
+
+    Two declarations let a sampled reference skip the realized fields:
+
+    - solve_coefficient_batch(expansion, z), when a model sets it, returns
+      the states of the fields of expansion coefficients z (n_modes, B), as
+      solve_state_batch would for expansion.realize_batch of their draws.
+      A sweep then hands it each block's coefficients; without it, a sweep
+      realizes the block and calls solve_state_batch.
+    - prediction_is_parameter says that predict_state_batch returns the
+      solved parameter itself, so a sweep sums the block's coefficients in
+      place of its Z-wide predictions.
     """
+
+    solve_coefficient_batch = None
+    prediction_is_parameter = False
 
     def __init__(self):
         self.solve_count = 0

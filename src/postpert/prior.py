@@ -28,6 +28,10 @@ _FIRST_SUBSET = 32
 # dense solve: at L5 ARPACK took 0.19 s for 128 pairs but 3.3 s for 512,
 # against 0.78 s for the full dense pencil.
 _DENSE_FRACTION = 8
+# Field coordinates realized by one product.  A slab is small next to a
+# block of fields, so a model can march or solve a block slab by slab
+# without holding its fields, and get the bits realize_batch gives.
+REALIZE_SLAB = 64
 
 
 @dataclass(frozen=True)
@@ -127,21 +131,38 @@ class AffineExpansion:
     def with_alpha(self, alpha: float) -> "AffineExpansion":
         return AffineExpansion(self.x0, self.modes, self.laws, alpha)
 
+    def coefficients(self, native_draws) -> np.ndarray:
+        """Coefficients z, shaped (n_modes, batch), of a (batch, n_modes)
+        block of law-native draws."""
+        u = np.asarray(native_draws, dtype=float)
+        if u.ndim != 2 or u.shape[1] != self.n_modes:
+            raise DimensionMismatch(f"expected (batch, {self.n_modes}) draws")
+        return np.stack([law.map_draw(u[:, j]) for j, law in enumerate(self.laws)])
+
+    def realize_slab(self, z, start: int, out: np.ndarray) -> np.ndarray:
+        """Rows start..start + len(out) of the (dim, batch) fields of the
+        coefficients z, written to out: one product, then scaled and shifted
+        in place.  Slabs of REALIZE_SLAB rows at multiples of it are exactly
+        the rows of realize_batch, which is formed the same way."""
+        stop = start + len(out)
+        np.matmul(self.modes.T[start:stop], z, out=out)
+        out *= self.alpha
+        out += self.x0[start:stop, None]
+        return out
+
     def realize_batch(self, native_draws) -> np.ndarray:
         """Fields for a (batch, n_modes) block of law-native draws.
 
         The (batch, dim) result is sample-last: it is the transpose of a
         C-ordered (dim, batch) array, so each field coordinate is one
-        contiguous column across the batch.  It is formed by one product
-        and scaled and shifted in place, with no other full-size array.
+        contiguous column across the batch.  It is formed in slabs of
+        REALIZE_SLAB field coordinates (see realize_slab), with no other
+        full-size array.
         """
-        u = np.asarray(native_draws, dtype=float)
-        if u.ndim != 2 or u.shape[1] != self.n_modes:
-            raise DimensionMismatch(f"expected (batch, {self.n_modes}) draws")
-        z = np.stack([law.map_draw(u[:, j]) for j, law in enumerate(self.laws)])
-        fields = self.modes.T @ z
-        fields *= self.alpha
-        fields += self.x0[:, None]
+        z = self.coefficients(native_draws)
+        fields = np.empty((self.dim, z.shape[1]))
+        for start in range(0, self.dim, REALIZE_SLAB):
+            self.realize_slab(z, start, fields[start:start + REALIZE_SLAB])
         return fields.T
 
     def point_from_shift(self, shift) -> np.ndarray:

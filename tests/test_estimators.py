@@ -4,9 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from postpert import estimators
+from postpert.darcy import STUDY_OBSERVATIONS, DarcyModel, darcy_noise_covariance
 from postpert.errors import CostGuard, DegenerateWeights, DimensionMismatch
 from postpert.estimators import (
     _BATCH,
+    _COEFFICIENT_BATCH,
     SampleBudget,
     _sample_stream,
     estimate_posterior,
@@ -15,9 +18,9 @@ from postpert.estimators import (
     tensor_grid_oracle,
 )
 from postpert.linalg import SpdMatrix
-from postpert.lv import OBSERVED_DATA, build_lotka_volterra, lv_noise_covariance
+from postpert.lv import OBSERVED_DATA, LotkaVolterraModel, build_lotka_volterra, lv_noise_covariance
 from postpert.model_api import ForwardModel, MeasurementSetup, evaluate_at
-from postpert.prior import AffineExpansion, CoefficientLaw
+from postpert.prior import REALIZE_SLAB, AffineExpansion, CoefficientLaw
 from postpert.toy import ConjugateGaussianModel, PolynomialToyModel
 
 from oracles import conjugate_posterior_1d, laplace_importance_mean
@@ -250,12 +253,14 @@ class TestSweep:
 
 class TestSweepMemory:
     def test_antithetic_sweep_holds_one_block(self):
-        """A three-block mean-only sweep on a reduced predator-prey model, as
-        lv-mc-sweep runs it: three noise setups and the half split.  One
-        block's realized fields plus its draws are 6.9 MiB.  Holding the
-        previous block while the next was drawn, realized and solved peaked
-        at 2.17 times that; one block at a time peaks at about 1.16 times."""
-        model, expansion = build_lotka_volterra(n_modes=20, n_steps=200)
+        """A two-block mean-only sweep on a reduced predator-prey model, as
+        lv-mc-sweep runs it: three noise setups and the half split.  A block
+        is solved from its coefficients, so its working set is the draws and
+        their coefficients, one slab of realized time points and the
+        observations: 2 M + slab + K floats per row, and 1.09 times that
+        measured (the march's five (2, B) state buffers).  A path that holds
+        a (B, n+1) block adds more than six times the bound."""
+        model, expansion = build_lotka_volterra(n_modes=20, n_steps=1000)
         expansion = expansion.with_alpha(0.125)
         meas = [MeasurementSetup(OBSERVED_DATA, lv_noise_covariance(s)) for s in (5.0, 10.0, 20.0)]
 
@@ -268,12 +273,17 @@ class TestSweepMemory:
         sweep(4)  # first-call imports and caches
         tracemalloc.start()
         try:
-            sweep(5000)  # blocks of 4096, 4096 and 1808 rows
+            sweep(10_000)  # blocks of 16384 and 3616 rows
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        block = _BATCH * (model.parameter_dim + expansion.n_modes) * 8
-        assert peak < 1.3 * block, f"peak {peak / block:.2f} blocks"
+        m, k = expansion.n_modes, model.observation_dim
+        bound = 1.3 * _COEFFICIENT_BATCH * (2 * m + REALIZE_SLAB + k) * 8
+        # no looser than the realized-block pin it replaces, and far below a
+        # block of paths
+        assert bound <= 1.3 * _BATCH * (model.parameter_dim + m) * 8
+        assert 5 * bound < _COEFFICIENT_BATCH * model.parameter_dim * 8
+        assert peak < bound, f"peak {peak / bound:.2f} bounds"
 
 
 class _StatePredictionToy(PolynomialToyModel):
@@ -281,6 +291,131 @@ class _StatePredictionToy(PolynomialToyModel):
 
     def predict_state_batch(self, states):
         return np.array(states, dtype=float)
+
+
+class _DeclaredStatePredictionToy(_StatePredictionToy):
+    prediction_is_parameter = True
+
+
+class _RealizedLv(LotkaVolterraModel):
+    """The predator-prey model as a sweep saw it before coefficient solves:
+    realized blocks of fields and Z-wide sums of its paths."""
+
+    solve_coefficient_batch = None
+    prediction_is_parameter = False
+
+
+class _DenseR1(DarcyModel):
+    prediction_is_parameter = False
+
+
+def _assert_lifted_close(got, want, second_moment):
+    """Coefficient-space sums against the dense accumulation of the same
+    samples.  Mean and correlation agree to 1e-14 of their largest entry
+    (at most 3e-15 measured).  The dense covariance is the difference
+    correlation - mean mean^T, so its rounding scales with the correlation:
+    it agrees to 1e-14 of the largest correlation entry (Darcy r1 at alpha
+    2^-7, where it is 1e-5 of the correlation, differed by 2e-10 of itself)."""
+    if not second_moment:
+        got, want = np.asarray(got), np.asarray(want)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        return
+    scale = np.abs(want.correlation).max()
+    for name in ("mean", "correlation"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max(), name
+    assert np.abs(got.covariance - want.covariance).max() <= 1e-14 * scale
+    np.testing.assert_array_equal(got.covariance, got.covariance.T)
+    np.testing.assert_array_equal(got.correlation, got.correlation.T)
+
+
+class _AccumulatorWidths:
+    """Records the width of every accumulator a sweep makes."""
+
+    def __init__(self, monkeypatch):
+        self.widths = []
+        real = estimators._MomentAccumulator
+        outer = self
+
+        class Recording(real):
+            def __init__(self, dim, second_moment):
+                outer.widths.append(dim)
+                super().__init__(dim, second_moment)
+
+        monkeypatch.setattr(estimators, "_MomentAccumulator", Recording)
+
+
+class TestCoefficientSums:
+    """Predictions declared to be the parameter are summed as coefficients."""
+
+    @pytest.mark.parametrize("second_moment", [True, False])
+    def test_predator_prey_equals_realized_accumulation(self, second_moment):
+        model, expansion = build_lotka_volterra(n_modes=20, n_steps=200)
+        meas = [MeasurementSetup(OBSERVED_DATA, lv_noise_covariance(s)) for s in (5.0, 20.0)]
+        budget = SampleBudget("antithetic-mc", 5000, seed=2)
+        for alpha in (0.25, 0.03125):
+            scaled = expansion.with_alpha(alpha)
+            got = estimate_posterior_sweep(
+                [model], scaled, meas, budget, second_moment=second_moment, half_split=True
+            )
+            want = estimate_posterior_sweep(
+                [_RealizedLv(n_steps=200)], scaled, meas, budget,
+                second_moment=second_moment, half_split=True,
+            )
+            for g, w in zip(got, want):  # the full and the half grids
+                for j in range(len(meas)):
+                    _assert_lifted_close(g[0][j], w[0][j], second_moment)
+
+    @pytest.mark.parametrize("kind", ["halton", "antithetic-mc"])
+    def test_state_prediction_toy_equals_realized_accumulation(self, kind):
+        model, expansion, meas = _toy_setup(alpha=0.25, normal=kind == "antithetic-mc")
+        budget = SampleBudget(kind, 9000, seed=4)
+        for second_moment in (True, False):
+            got = estimate_posterior_sweep(
+                [_DeclaredStatePredictionToy()], expansion, [meas], budget,
+                second_moment=second_moment, half_split=True,
+            )
+            want = estimate_posterior_sweep(
+                [_StatePredictionToy()], expansion, [meas], budget,
+                second_moment=second_moment, half_split=True,
+            )
+            for g, w in zip(got, want):
+                _assert_lifted_close(g[0][0], w[0][0], second_moment)
+
+    def test_sweep_forms_no_prediction_wide_sum(self, monkeypatch):
+        """Mean-only or not, every accumulator of a predator-prey sweep is
+        M = 20 wide, against Z = 201 for its paths."""
+        spy = _AccumulatorWidths(monkeypatch)
+        model, expansion = build_lotka_volterra(n_modes=20, n_steps=200)
+        meas = [MeasurementSetup(OBSERVED_DATA, lv_noise_covariance(s)) for s in (5.0, 20.0)]
+        for second_moment in (False, True):
+            full, _ = estimate_posterior_sweep(
+                [model], expansion.with_alpha(0.125), meas, SampleBudget("antithetic-mc", 50),
+                second_moment=second_moment, half_split=True,
+            )
+            mean = full[0][0].mean if second_moment else full[0][0]
+            assert mean.shape == (201,)
+        assert spy.widths and set(spy.widths) == {20}
+
+    def test_darcy_r1_sums_coefficients_beside_dense_r2(self, darcy_level_2, monkeypatch):
+        """In an [r1, r2] sweep r1 sums the coefficients and r2 keeps its
+        Z-wide sums, to the bits of a sweep whose r1 is summed densely."""
+        r1, expansion = darcy_level_2
+        r1 = DarcyModel(r1.problem, "r1")
+        r2 = DarcyModel(r1.problem, "r2")
+        meas = MeasurementSetup(data=STUDY_OBSERVATIONS, sigma=darcy_noise_covariance())
+        budget = SampleBudget("halton", 600)
+        scaled = expansion.with_alpha(0.25)
+        spy = _AccumulatorWidths(monkeypatch)
+        got, got_half = estimate_posterior_sweep([r1, r2], scaled, [meas], budget, half_split=True)
+        assert spy.widths == [expansion.n_modes, r2.prediction_dim]
+        want, want_half = estimate_posterior_sweep(
+            [_DenseR1(r1.problem, "r1"), r2], scaled, [meas], budget, half_split=True
+        )
+        for g, w in ((got, want), (got_half, want_half)):
+            _assert_lifted_close(g[0][0], w[0][0], True)
+            for name in ("mean", "correlation", "covariance"):
+                np.testing.assert_array_equal(getattr(g[1][0], name), getattr(w[1][0], name))
 
 
 class _CubicModel(ForwardModel):

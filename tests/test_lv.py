@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from postpert.errors import DimensionMismatch, NonPositiveState
+from postpert.estimators import SampleBudget, estimate_posterior_sweep
 from postpert.lv import (
     CORRECTOR_SWEEPS,
     INITIAL_STATE,
     OBSERVED_DATA,
     LotkaVolterraModel,
     Trajectory,
+    _coefficient_paths,
     _march,
     build_lotka_volterra,
     integrate,
@@ -19,8 +21,8 @@ from postpert.lv import (
     lv_time_grid,
     observation_indices,
 )
-from postpert.model_api import evaluate_at
-from postpert.prior import AffineExpansion
+from postpert.model_api import MeasurementSetup, evaluate_at
+from postpert.prior import REALIZE_SLAB, AffineExpansion, CoefficientLaw, brownian_bridge_modes
 
 from oracles import lv_march, lv_variational_march, predator_prey_invariant
 
@@ -137,8 +139,8 @@ class TestIntegrator:
         rng = np.random.default_rng(25)
         xs = np.cumsum(rng.normal(scale=0.3, size=(9, 201)), axis=1)
         record = observation_indices(200)
-        row_major = _march(xs, record)
-        sample_last = _march(np.asfortranarray(xs), record)
+        row_major = _march(xs.T, 200, record)
+        sample_last = _march(np.asfortranarray(xs).T, 200, record)
         for a, b in zip(row_major, sample_last):
             np.testing.assert_array_equal(a, b)
 
@@ -293,3 +295,107 @@ class TestModelWiring:
             expansion.modes[0], np.sqrt(2.0) * np.sin(np.pi * t) / np.pi, atol=1e-14
         )
         assert all(law.kind == "standard-normal" for law in expansion.laws)
+
+
+class _Forwarding:
+    """Forwards every attribute to its target, as a tracing wrapper does; an
+    isinstance check on it fails."""
+
+    def __init__(self, target):
+        self._target = target
+
+    def __getattr__(self, name):
+        return getattr(self._target, name)
+
+
+def _bridge_expansion(n_points, n_modes=5, alpha=0.7):
+    """Bridge modes on n_points time points about a nonzero ramp."""
+    t = np.linspace(0.0, 1.0, n_points)
+    return AffineExpansion(
+        x0=0.3 * t - 0.1,
+        modes=brownian_bridge_modes(n_modes, t),
+        laws=tuple(CoefficientLaw.standard_normal() for _ in range(n_modes)),
+        alpha=alpha,
+    )
+
+
+class TestCoefficientSlabs:
+    """Paths realized a slab of time points at a time, from coefficients."""
+
+    @pytest.mark.parametrize(
+        "n_points", [REALIZE_SLAB - 1, REALIZE_SLAB, REALIZE_SLAB + 1, 3 * REALIZE_SLAB + 5]
+    )
+    @pytest.mark.parametrize("batch", [1, REALIZE_SLAB - 1, REALIZE_SLAB + 1, 100])
+    def test_equals_march_on_realized_block(self, n_points, batch):
+        """Bit for bit, for grids shorter than, equal to and longer than a
+        slab, ending inside one, and for batches of one and around a slab."""
+        expansion = _bridge_expansion(n_points)
+        native = np.random.default_rng(n_points + batch).standard_normal((batch, 5))
+        record = range(0, n_points, 7)
+        got = _march(_coefficient_paths(expansion, expansion.coefficients(native)), n_points - 1, record)
+        want = _march(expansion.realize_batch(native).T, n_points - 1, record)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    def test_model_observes_the_realized_block(self):
+        model, expansion = build_lotka_volterra(n_modes=20, n_steps=200)
+        expansion = expansion.with_alpha(0.5)
+        native = np.random.default_rng(26).standard_normal((300, 20))
+        before = model.solve_count
+        got = model.solve_coefficient_batch(expansion, expansion.coefficients(native))
+        assert model.solve_count - before == 300
+        want = model.solve_state_batch(expansion.realize_batch(native))
+        np.testing.assert_array_equal(got.observed, want.observed)
+        with pytest.raises(DimensionMismatch, match="no paths"):
+            model.predict_state_batch(got)
+
+    def test_collapsing_row_names_the_step_of_integrate(self):
+        """Only the middle row collapses, and at the step integrate reports
+        for its realized path."""
+        t = lv_time_grid(200)
+        step = np.where(t >= 0.45, -1.0, 0.0)
+        expansion = AffineExpansion(
+            x0=np.zeros(201),
+            modes=np.array([np.sin(np.pi * t), step]),
+            laws=(CoefficientLaw.standard_normal(),) * 2,
+        )
+        z = np.array([[0.3, 0.1, -0.2], [0.0, 400.0, 0.0]])
+        with pytest.raises(NonPositiveState) as alone:
+            integrate(expansion.realize_batch(z.T[1:2])[0])  # normal laws: z is native
+        with pytest.raises(NonPositiveState) as batch:
+            LotkaVolterraModel(n_steps=200).solve_coefficient_batch(expansion, z)
+        assert str(alone.value).endswith("at step 90")
+        assert str(batch.value) == str(alone.value)
+
+    def test_nan_path_neither_raises_nor_hides_a_collapse(self):
+        model, expansion = build_lotka_volterra(n_modes=3, n_steps=100)
+        z = np.zeros((3, 2))
+        z[0, 0] = np.nan
+        assert np.isnan(model.solve_coefficient_batch(expansion, z[:, :1]).observed).all()
+        z[:, 1] = -1e5
+        with pytest.raises(NonPositiveState):
+            model.solve_coefficient_batch(expansion, z)
+
+    def test_expansion_of_another_grid_is_refused(self):
+        model, _ = build_lotka_volterra(n_modes=3, n_steps=100)
+        _, other = build_lotka_volterra(n_modes=3, n_steps=200)
+        with pytest.raises(DimensionMismatch, match="parameter_dim"):
+            model.solve_coefficient_batch(other, np.zeros((3, 2)))
+        assert model.solve_count == 0
+
+    def test_expansion_is_read_through_attributes(self):
+        """A wrapper that forwards attributes, as the benchmark's tracer
+        passes, solves and sweeps to the same bits."""
+        model, expansion = build_lotka_volterra(n_modes=10, n_steps=200)
+        expansion = expansion.with_alpha(0.25)
+        z = expansion.coefficients(np.random.default_rng(27).standard_normal((50, 10)))
+        np.testing.assert_array_equal(
+            model.solve_coefficient_batch(_Forwarding(expansion), z).observed,
+            model.solve_coefficient_batch(expansion, z).observed,
+        )
+        meas = [MeasurementSetup(OBSERVED_DATA, lv_noise_covariance(10.0))]
+        budget = SampleBudget("antithetic-mc", 300)
+        got = estimate_posterior_sweep([_Forwarding(model)], _Forwarding(expansion), meas, budget)
+        want = estimate_posterior_sweep([model], expansion, meas, budget)
+        for name in ("mean", "correlation", "covariance"):
+            np.testing.assert_array_equal(getattr(got[0][0], name), getattr(want[0][0], name))
