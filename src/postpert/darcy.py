@@ -337,37 +337,30 @@ class DarcyModel(ForwardModel):
         return self.problem.obs_matrix @ u0, dq
 
     def evaluate_at(self, expansion: AffineExpansion, reference) -> ModelEvaluations:
-        mesh = self.problem.mesh
+        if self.prediction_is_parameter:
+            return super().evaluate_at(expansion, reference)
         ref = np.asarray(reference, dtype=float)
         op, u0, dq = self._observed(expansion, ref)
-
-        if self.prediction == "r1":
-            r0 = ref.copy()
-            dr_modes = expansion.modes.copy()
-            d2r_expected = np.zeros_like(r0)
-        else:
-            r0 = u0
-            xibars = _triangle_means(mesh, expansion.modes)  # (M, T)
-            dr_modes = op.solve(op.first_order_rhs(xibars, u0)).T.copy()
-            # the mean direction joins the modes with weight 1; its centroid
-            # values and w1 are E[z] @ theirs (zero under centered laws)
-            means = expansion.coefficient_means()
-            d2r_expected = op.second_order(
-                np.vstack([xibars, means @ xibars]),
-                np.append(expansion.coefficient_variances(), 1.0),
-                u0,
-                np.vstack([dr_modes, means @ dr_modes]),
-            )
-            self.solve_count += expansion.n_modes + 1
-
+        xibars = _triangle_means(self.problem.mesh, expansion.modes)  # (M, T)
+        dr_modes = op.solve(op.first_order_rhs(xibars, u0)).T.copy()
+        # the mean direction joins the modes with weight 1; its centroid
+        # values and w1 are E[z] @ theirs (zero under centered laws)
+        means = expansion.coefficient_means()
+        d2r_expected = op.second_order(
+            np.vstack([xibars, means @ xibars]),
+            np.append(expansion.coefficient_variances(), 1.0),
+            u0,
+            np.vstack([dr_modes, means @ dr_modes]),
+        )
+        self.solve_count += expansion.n_modes + 1
         return ModelEvaluations(
             q0=self.problem.obs_matrix @ u0,
             dq_modes=dq,
-            r0=r0,
+            r0=u0,
             dr_modes=dr_modes,
             d2r_expected=d2r_expected,
             reference=ref,
-            law_means=expansion.coefficient_means(),
+            law_means=means,
             law_variances=expansion.coefficient_variances(),
         )
 

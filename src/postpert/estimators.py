@@ -1,12 +1,19 @@
 """Reference estimators for posterior moments.
 
-All three estimators are self-normalizing: with likelihood weights
-nu(x) = exp(-0.5 ||delta - Q(x)||^2_Sigma) and prior points x_k,
+One self-normalizing estimator runs over three sample streams: with
+likelihood weights nu(x) = exp(-0.5 ||delta - Q(x)||^2_Sigma) and prior
+points x_k,
 
     mean ~ sum_k W_k nu_k R_k / sum_k W_k nu_k,
 
 where W_k are sampling weights.  Weights are handled in log space with a
 running maximum so large misfits cannot underflow the ratio.
+
+The covariance is summed about the mean, so it rounds with the covariance
+and not with the correlation = covariance + mean mean^T: with a shift s,
+the weighted mean of the first weighted block, taken off every sample,
+each block's weighted deviations from its own mean join the running sum
+by Chan, Golub and LeVeque's pairwise update.
 
 Every budget kind is one deterministic sample stream of (draws, log W)
 blocks: plain Halton points for uniform coefficient laws and antithetic
@@ -29,13 +36,11 @@ A model whose prediction is the parameter itself (prediction_is_parameter)
 has R = x0 + alpha Phi^T z for the coefficients z, so its sums are taken
 over z (M wide, with an M x M second moment) and lifted once per result:
 
-    mean       = x0 + alpha Phi^T m,            m = E_w[z],
-    covariance = alpha^2 Phi^T (E_w[z z^T] - m m^T) Phi,
+    mean        = x0 + alpha Phi^T m,         m = E_w[z],
+    covariance  = alpha^2 Phi^T C Phi,         C = E_w[(z - m)(z - m)^T],
     correlation = covariance + mean mean^T,
 
-which is x0 x0^T + alpha (x0 (Phi^T m)^T + (Phi^T m) x0^T)
-+ alpha^2 Phi^T E_w[z z^T] Phi.  No Z-wide sum and no per-sample Z x Z
-product is formed for it.
+No Z-wide sum and no per-sample Z x Z product is formed for it.
 """
 
 from __future__ import annotations
@@ -111,7 +116,9 @@ class _MomentAccumulator:
         self.logmax = -np.inf
         self.wsum = 0.0
         self.rsum = np.zeros(dim)
-        self.rrsum = np.zeros((dim, dim)) if second_moment else None
+        self.m2 = np.zeros((dim, dim)) if second_moment else None
+        self.shift = None
+        self.center = np.zeros(dim)
         self.count = 0
 
     def add(self, logw: np.ndarray, r: np.ndarray) -> None:
@@ -121,10 +128,23 @@ class _MomentAccumulator:
             return
         rescale = np.exp(self.logmax - newmax) if np.isfinite(self.logmax) else 0.0
         w = np.exp(logw - newmax)
-        self.wsum = self.wsum * rescale + float(w.sum())
-        self.rsum = self.rsum * rescale + w @ r
-        if self.rrsum is not None:
-            self.rrsum = self.rrsum * rescale + (r * w[:, None]).T @ r
+        before = self.wsum * rescale
+        block = float(w.sum())
+        wr = w @ r
+        self.wsum = before + block
+        self.rsum = self.rsum * rescale + wr
+        if self.m2 is not None:
+            if self.shift is None:
+                self.shift = wr / block
+            # deviations about the block's mean b, merged at the running mean
+            d = r - self.shift
+            b = (w @ d) / block
+            d -= b
+            d *= np.sqrt(w)[:, None]
+            b -= self.center
+            self.center = self.center + b * (block / self.wsum)
+            b *= np.sqrt(before * block / self.wsum)
+            self.m2 = self.m2 * rescale + d.T @ d + np.outer(b, b)
         self.logmax = newmax
 
     def mean(self) -> np.ndarray:
@@ -136,11 +156,9 @@ class _MomentAccumulator:
 
     def moments(self) -> PosteriorMoments:
         mean = self.mean()
-        corr = self.rrsum / self.wsum
-        corr = 0.5 * (corr + corr.T)
-        cov = corr - np.outer(mean, mean)
+        cov = self.m2 / self.wsum
         cov = 0.5 * (cov + cov.T)
-        return PosteriorMoments(mean, corr, cov)
+        return PosteriorMoments(mean, cov + np.outer(mean, mean), cov)
 
 
 def _misfit_logweights(q: np.ndarray, meas: MeasurementSetup) -> np.ndarray:

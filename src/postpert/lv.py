@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveState
 from .linalg import SpdMatrix
-from .model_api import ForwardModel, ModelEvaluations
+from .model_api import ForwardModel
 from .prior import REALIZE_SLAB, AffineExpansion, CoefficientLaw, brownian_bridge_modes
 
 GROWTH = 15.0 / 2.0
@@ -99,9 +99,10 @@ def _march(forcing, n_steps, record, y_init=INITIAL_STATE):
     predator rows, and each rate is written in factored form
     y * (k0 + k1 * other) with the step size folded into k0 and k1, so the
     predictor and every corrector sweep are four in-place ufuncs on
-    preallocated (2, B) buffers.  The growth row of a step's end point, the only forcing the corrector
-    sees, is formed once per step from that point's row and carried over as
-    the next step's start.  The bits do not depend on the rows' layout.
+    preallocated (2, B) buffers.  The growth row of a step's end point, the
+    only forcing the corrector sees, is formed once per step from that
+    point's row and carried over as the next step's start.  The bits do not
+    depend on the rows' layout.
     """
     forcing = iter(forcing)
     xi_first = next(forcing)
@@ -247,10 +248,6 @@ class LotkaVolterraModel(ForwardModel):
     def observation_dim(self) -> int:
         return 2 * len(OBSERVATION_TIMES)
 
-    @property
-    def prediction_dim(self) -> int:
-        return self.n_steps + 1
-
     def _observed(self, forcing, batch: int) -> np.ndarray:
         y1, y2 = _march(forcing, self.n_steps, self._obs_idx)
         snap = np.empty((batch, self.observation_dim))
@@ -300,20 +297,6 @@ class LotkaVolterraModel(ForwardModel):
         sens = _observation_adjoint(base, self._obs_idx)
         self.solve_count += 1 + self.observation_dim
         return lv_observe(base), expansion.modes @ sens
-
-    def evaluate_at(self, expansion: AffineExpansion, reference) -> ModelEvaluations:
-        ref = np.asarray(reference, dtype=float)
-        q0, dq = self.linearize(expansion, ref)
-        return ModelEvaluations(
-            q0=q0,
-            dq_modes=dq,
-            r0=ref.copy(),
-            dr_modes=expansion.modes.copy(),
-            d2r_expected=np.zeros_like(ref),
-            reference=ref,
-            law_means=expansion.coefficient_means(),
-            law_variances=expansion.coefficient_variances(),
-        )
 
 
 def build_lotka_volterra(

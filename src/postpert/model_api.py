@@ -82,10 +82,11 @@ class ForwardModel:
     """Base class for concrete forward models.
 
     Subclasses implement the batched solve_state_batch / observe_state_batch /
-    predict_state_batch triad and evaluate_at.  A batch is a stack of
-    parameters (B, parameter_dim); observe and predict are a batch of one.
-    solve_count tracks every forward or derivative solve so tests can assert
-    how much work a study performed.
+    predict_state_batch triad, and for the derivatives linearize when they
+    declare prediction_is_parameter, else evaluate_at.  A batch is a stack
+    of parameters (B, parameter_dim); observe and predict are a batch of
+    one.  solve_count tracks every forward or derivative solve so tests can
+    assert how much work a study performed.
 
     Two declarations let a sampled reference skip the realized fields:
 
@@ -96,7 +97,8 @@ class ForwardModel:
       realizes the block and calls solve_state_batch.
     - prediction_is_parameter says that predict_state_batch returns the
       solved parameter itself, so a sweep sums the block's coefficients in
-      place of its Z-wide predictions.
+      place of its Z-wide predictions.  evaluate_at then builds the bundle
+      from linearize: r0 is the reference, dR the modes, E[D^2 R] zero.
     """
 
     solve_coefficient_batch = None
@@ -116,6 +118,8 @@ class ForwardModel:
 
     @property
     def prediction_dim(self) -> int:
+        if self.prediction_is_parameter:
+            return self.parameter_dim
         raise NotImplementedError
 
     # -- evaluations --------------------------------------------------------
@@ -151,10 +155,26 @@ class ForwardModel:
         raise NotImplementedError
 
     def evaluate_at(self, expansion: AffineExpansion, reference) -> ModelEvaluations:
-        raise NotImplementedError
+        """A declared model's bundle: linearize's Q and dQ, with R = x."""
+        if not self.prediction_is_parameter:
+            raise NotImplementedError
+        ref = np.asarray(reference, dtype=float)
+        q0, dq = self.linearize(expansion, ref)
+        return ModelEvaluations(
+            q0=q0,
+            dq_modes=dq,
+            r0=ref.copy(),
+            dr_modes=expansion.modes.copy(),
+            d2r_expected=np.zeros_like(ref),
+            reference=ref,
+            law_means=expansion.coefficient_means(),
+            law_variances=expansion.coefficient_variances(),
+        )
 
     def linearize(self, expansion: AffineExpansion, reference):
         """(Q, dQ along modes) at a reference; default goes via evaluate_at."""
+        if self.prediction_is_parameter:
+            raise NotImplementedError("a declared model implements linearize")
         ev = self.evaluate_at(expansion, reference)
         return ev.q0, ev.dq_modes
 

@@ -18,6 +18,8 @@ from .prior import AffineExpansion
 class ConjugateGaussianModel(ForwardModel):
     """Scalar model Q(x) = q0 + q1 x with identity prediction R(x) = x."""
 
+    prediction_is_parameter = True
+
     def __init__(self, q0: float, q1: float, noise_var: float):
         super().__init__()
         self.q0 = float(q0)
@@ -30,10 +32,6 @@ class ConjugateGaussianModel(ForwardModel):
 
     @property
     def observation_dim(self) -> int:
-        return 1
-
-    @property
-    def prediction_dim(self) -> int:
         return 1
 
     def solve_state_batch(self, xs):
@@ -50,19 +48,9 @@ class ConjugateGaussianModel(ForwardModel):
     def noise_covariance(self) -> SpdMatrix:
         return SpdMatrix([[self.noise_var]])
 
-    def evaluate_at(self, expansion: AffineExpansion, reference) -> ModelEvaluations:
-        ref = np.asarray(reference, dtype=float)
+    def linearize(self, expansion: AffineExpansion, reference):
         self.solve_count += 1 + expansion.n_modes
-        return ModelEvaluations(
-            q0=self.q0 + self.q1 * ref,
-            dq_modes=self.q1 * expansion.modes,
-            r0=ref.copy(),
-            dr_modes=expansion.modes.copy(),
-            d2r_expected=np.zeros_like(ref),
-            reference=ref,
-            law_means=expansion.coefficient_means(),
-            law_variances=expansion.coefficient_variances(),
-        )
+        return self.q0 + self.q1 * np.asarray(reference, dtype=float), self.q1 * expansion.modes
 
 
 class PolynomialToyModel(ForwardModel):

@@ -304,6 +304,10 @@ class _RealizedLv(LotkaVolterraModel):
     solve_coefficient_batch = None
     prediction_is_parameter = False
 
+    @property
+    def prediction_dim(self):
+        return self.parameter_dim
+
 
 class _DenseR1(DarcyModel):
     prediction_is_parameter = False
@@ -312,19 +316,19 @@ class _DenseR1(DarcyModel):
 def _assert_lifted_close(got, want, second_moment):
     """Coefficient-space sums against the dense accumulation of the same
     samples.  Mean and correlation agree to 1e-14 of their largest entry
-    (at most 3e-15 measured).  The dense covariance is the difference
-    correlation - mean mean^T, so its rounding scales with the correlation:
-    it agrees to 1e-14 of the largest correlation entry (Darcy r1 at alpha
-    2^-7, where it is 1e-5 of the correlation, differed by 2e-10 of itself)."""
+    (at most 3e-15 measured).  Both covariances are summed about the mean,
+    so they agree to 5e-15 of the largest covariance entry (at most 1.7e-15
+    measured).  That is no looser than the 1e-14 of the largest correlation
+    entry it replaces, which read 1.4e-14 to 4.4e-13 of the covariance here."""
     if not second_moment:
         got, want = np.asarray(got), np.asarray(want)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         return
-    scale = np.abs(want.correlation).max()
     for name in ("mean", "correlation"):
         a, b = getattr(got, name), getattr(want, name)
         assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max(), name
-    assert np.abs(got.covariance - want.covariance).max() <= 1e-14 * scale
+    scale = np.abs(want.covariance).max()
+    assert np.abs(got.covariance - want.covariance).max() <= 5e-15 * scale
     np.testing.assert_array_equal(got.covariance, got.covariance.T)
     np.testing.assert_array_equal(got.correlation, got.correlation.T)
 
@@ -343,6 +347,57 @@ class _AccumulatorWidths:
                 super().__init__(dim, second_moment)
 
         monkeypatch.setattr(estimators, "_MomentAccumulator", Recording)
+
+
+class _OffsetPredictionToy(PolynomialToyModel):
+    """The polynomial toy with its prediction moved by a large constant."""
+
+    def predict_state_batch(self, states):
+        return super().predict_state_batch(states) + 1e6
+
+
+def _two_pass_moments(model, expansion, meas, budget):
+    """Weighted mean and covariance of a stream's samples, in long double,
+    the covariance summed about the finished mean."""
+    native = np.vstack([block for block, _ in _sample_stream(expansion, budget)])
+    states = model.solve_state_batch(expansion.realize_batch(native))
+    resid = meas.data - model.observe_state_batch(states)
+    logw = -0.5 * np.einsum("bk,kb->b", resid, meas.sigma.solve(resid.T))
+    w = np.exp(np.longdouble(logw - logw.max()))
+    r = model.predict_state_batch(states).astype(np.longdouble)
+    mean = w @ r / w.sum()
+    d = r - mean
+    return mean, (d * w[:, None]).T @ d / w.sum()
+
+
+class TestSecondMomentAboutTheMean:
+    @pytest.mark.parametrize("alpha", [0.25, 2.0 ** -7])
+    def test_large_offset_against_two_pass(self, alpha):
+        """A prediction offset by 1e6 has a correlation near 1e12 and a
+        covariance of 3e-5 to 3e-2.  Summed about the mean over three
+        blocks, the covariance agrees with a long-double two-pass sum to
+        1e-13 of itself (at most 2e-16 measured); as correlation - mean
+        mean^T it was off by 0.12 and 27 times itself."""
+        _, expansion, meas = _toy_setup(alpha)
+        budget = SampleBudget("halton", 10000)
+        got = estimate_posterior(_OffsetPredictionToy(), expansion, meas, budget)
+        mean, cov = _two_pass_moments(_OffsetPredictionToy(), expansion, meas, budget)
+        assert np.abs(got.covariance - cov).max() <= 1e-13 * np.abs(cov).max()
+        corr = cov + np.outer(mean, mean)
+        assert np.abs(got.correlation - corr).max() <= 1e-14 * np.abs(corr).max()
+        assert np.abs(got.mean - mean).max() <= 1e-14 * np.abs(mean).max()
+
+    def test_dominant_late_sample(self):
+        """A posterior carried by a handful of samples (effective sample
+        size 1.2, predator-prey at noise scale 5) far from the first block's
+        mean keeps its covariance to 1e-14 of itself (1.6e-15 measured)."""
+        model, expansion = build_lotka_volterra(n_modes=20, n_steps=200)
+        meas = MeasurementSetup(OBSERVED_DATA, lv_noise_covariance(5.0))
+        scaled = expansion.with_alpha(0.25)
+        budget = SampleBudget("antithetic-mc", 5000, seed=2)
+        got = estimate_posterior(_RealizedLv(n_steps=200), scaled, meas, budget)
+        _, cov = _two_pass_moments(_RealizedLv(n_steps=200), scaled, meas, budget)
+        assert np.abs(got.covariance - cov).max() <= 1e-14 * np.abs(cov).max()
 
 
 class TestCoefficientSums:

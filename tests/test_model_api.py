@@ -5,6 +5,7 @@ from postpert.darcy import build_darcy
 from postpert.errors import DimensionMismatch
 from postpert.linalg import SpdMatrix
 from postpert.model_api import (
+    ForwardModel,
     MeasurementSetup,
     ModelEvaluations,
     evaluate_at,
@@ -83,6 +84,62 @@ _EVERY_MODEL = {
     "conjugate-gaussian": _conjugate,
     "polynomial-toy": _polynomial,
 }
+
+
+# models declaring prediction_is_parameter, whose bundle the base class builds
+_DECLARED = {
+    "darcy-r1-centered": lambda: build_darcy(2, kle_tol=1e-2, centered=True, prediction="r1"),
+    "darcy-r1-shifted": _EVERY_MODEL["darcy-r1"],
+    "lotka-volterra": _EVERY_MODEL["lotka-volterra"],
+    "conjugate-gaussian": _conjugate,
+}
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestDeclaredBundle:
+    @pytest.mark.parametrize("moved", [False, True], ids=["x0", "moved"])
+    @pytest.mark.parametrize("name", sorted(_DECLARED))
+    def test_bundle_is_linearize_with_identity_prediction(self, name, moved):
+        """The bundle is linearize's Q and dQ, the reference as r0, the modes
+        as dR and zero curvature, bit for bit, at linearize's solve count."""
+        model, expansion = _DECLARED[name]()
+        reference = expansion.x0 + (0.01 * expansion.modes.sum(axis=0) if moved else 0.0)
+        q0, dq = model.linearize(expansion, reference)
+        cost = model.solve_count
+        ev = evaluate_at(model, expansion, reference)
+        assert model.solve_count == 2 * cost > 0
+        for got, want in (
+            (ev.q0, q0),
+            (ev.dq_modes, dq),
+            (ev.r0, reference),
+            (ev.dr_modes, expansion.modes),
+            (ev.d2r_expected, np.zeros(expansion.dim)),
+            (ev.reference, reference),
+            (ev.law_means, expansion.coefficient_means()),
+            (ev.law_variances, expansion.coefficient_variances()),
+        ):
+            assert _same_bits(got, want)
+        assert not np.shares_memory(ev.r0, reference)
+        assert not np.shares_memory(ev.dr_modes, expansion.modes)
+
+    def test_entry_points_a_model_must_supply(self, toy_pair):
+        """An undeclared model without evaluate_at, and a declared one
+        without linearize, raise NotImplementedError rather than recurse."""
+        _, expansion = toy_pair
+        undeclared = ForwardModel()
+        declared = type(
+            "Declared", (ForwardModel,), {"prediction_is_parameter": True, "parameter_dim": 2}
+        )()
+        assert declared.prediction_dim == 2
+        for model in (undeclared, declared):
+            for call in (model.evaluate_at, model.linearize):
+                with pytest.raises(NotImplementedError):
+                    call(expansion, expansion.x0)
+        with pytest.raises(NotImplementedError):
+            undeclared.prediction_dim
 
 
 class TestEvaluateAt:
